@@ -389,7 +389,11 @@ class ProcessPoolSupervisor:
             return self._broken
 
     def worker_cache_stats(self) -> List[CacheReport]:
-        """The latest per-worker cache report of every worker seen so far."""
+        """The latest per-worker cache report of every worker seen so far.
+
+        Idle workers are included: a worker that served no request still
+        reports its cache block when it shuts down.
+        """
         with self._lock:
             return [
                 self._worker_caches[worker_id]

@@ -126,7 +126,7 @@ def worker_main(worker_id: int, conn: Connection) -> None:
                             evaluations=evaluations,
                             errors=errors,
                             loaded=tuple(sorted(databases)),
-                            cache=cache_stats() if databases else None,
+                            cache=cache_stats(),
                         )
                     )
                 except (EOFError, OSError):

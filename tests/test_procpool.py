@@ -298,6 +298,26 @@ class TestProcessTier:
         assert "worker caches (" in rendered and "worker[0]:" in rendered
         assert "pool    : process" in rendered
 
+    def test_idle_worker_still_reports_its_cache(self, tmp_path):
+        # One request, two workers: whichever worker wins the start-up race
+        # serves it, and the other one never loads a shard.  Both must still
+        # report a cache block at shutdown — the idle one all zeros.
+        registry = self.registry(tmp_path)
+
+        async def scenario():
+            async with QueryService(
+                registry, concurrency=2, pool="process"
+            ) as service:
+                result = await service.submit(self.requests()[0])
+            return result, service.stats()
+
+        result, stats = run(scenario())
+        assert result.ok
+        caches = stats["worker_caches"]
+        assert len(caches) == 2
+        misses = sorted(report["totals"]["misses"] for report in caches)
+        assert misses[0] == 0 and misses[1] > 0
+
     def test_memory_backed_shard_is_refused(self):
         registry = DatabaseRegistry()
         registry.register("mem", small_db())
