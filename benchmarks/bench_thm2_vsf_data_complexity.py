@@ -6,123 +6,24 @@ the cost grows polynomially (not exponentially) in |D|.  The benchmark series
 over |D| is the reproduced "figure"; the normal form is precomputed once, as
 the data-complexity view treats the query as a constant.
 
-A second series measures the **planner worst case**: an all-lazy-component
-conjunction on the ``deep_chain`` adversarial family, where the v1 heuristic
-(force the lowest-index deferred edge) materialises the near-quadratic hub
-relation while the cost-based v2 planner forces the three marker arcs.  The
-column pair pins the cardinality-sketch planner's win as data grows.
-
-Run ``python -m benchmarks.bench_thm2_vsf_data_complexity --smoke`` for the
-fast assertion-checked version used in CI (v2 must not be slower than v1 on
-the smoke workload); ``--json PATH`` dumps both series as a machine-readable
-artifact (CI uploads it as ``BENCH_pr6.json``).
+Run ``python -m benchmarks.bench_thm2_vsf_data_complexity`` to print the
+series; ``--smoke`` limits it to the two smallest sizes.
 """
 
-import json
 import sys
 import time
 
 import pytest
 
-from repro.engine.engine import evaluate
 from repro.engine.normal_form import normal_form
-from repro.engine.planner import planner_stats, planner_v2_disabled, reset_planner_stats
 from repro.engine.vsf import evaluate_vsf
-from repro.graphdb.cache import invalidate_cache
-from repro.graphdb.generators import deep_chain
-from repro.queries.cxrpq import CXRPQ
-from repro.regex.parser import parse_xregex
 from repro.workloads import vsf_scaling_query
 
 from benchmarks.common import cached_random_db, print_table
 
 SIZES = [20, 40, 80, 160]
-#: Chain lengths of the planner worst-case series (``deep_chain`` family).
-PLANNER_SIZES = [200, 400, 800]
-SMOKE_PLANNER_SIZES = [160, 240]
-#: The smoke gate: total v2 time must stay within this factor of v1 (the
-#: margin absorbs CI timer noise; on this family v2 is many times faster).
-SMOKE_PLANNER_MARGIN = 1.1
 _QUERY = vsf_scaling_query()
 _NORMAL_FORM = normal_form(_QUERY.conjunctive_xregex)
-
-#: The worst-case workload: both edges classical (lazy CSR relations), no
-#: fixed variables, boolean — the all-lazy component where the forced-edge
-#: choice is the whole cost.  On ``deep_chain`` the hub ``b+`` relation is
-#: near-quadratic and the ``c`` markers are O(1).
-_PLANNER_QUERY = CXRPQ(
-    [("x", parse_xregex("b+"), "y"), ("y", parse_xregex("c"), "z")],
-    output_variables=(),
-)
-
-
-def _timed_planner_arm(db, arm):
-    invalidate_cache(db)
-    reset_planner_stats()
-    start = time.perf_counter()
-    if arm is None:
-        result = evaluate(_PLANNER_QUERY, db, boolean_short_circuit=True)
-    else:
-        with arm():
-            result = evaluate(_PLANNER_QUERY, db, boolean_short_circuit=True)
-    elapsed = time.perf_counter() - start
-    return elapsed, result.boolean, planner_stats()["forced_pairs"]
-
-
-def planner_rows(sizes):
-    """The worst-case series: v1 vs v2 on ``deep_chain`` per chain length."""
-    rows = []
-    raw = []
-    totals = [0.0, 0.0]
-    for length in sizes:
-        db = deep_chain(length)
-        v1_time, v1_answer, v1_forced = _timed_planner_arm(db, planner_v2_disabled)
-        v2_time, v2_answer, v2_forced = _timed_planner_arm(db, None)
-        assert v1_answer == v2_answer is True, "planner arms disagree on the answer"
-        assert v2_forced <= v1_forced, (
-            f"v2 materialised more than v1 at length {length}: "
-            f"{v2_forced} > {v1_forced}"
-        )
-        totals[0] += v1_time
-        totals[1] += v2_time
-        raw.append(
-            {
-                "chain_length": length,
-                "nodes": db.num_nodes(),
-                "edges": db.num_edges(),
-                "v1_s": v1_time,
-                "v2_s": v2_time,
-                "v1_forced_pairs": v1_forced,
-                "v2_forced_pairs": v2_forced,
-            }
-        )
-        rows.append(
-            [
-                length,
-                db.num_edges(),
-                f"{v1_time * 1000:.1f}",
-                f"{v2_time * 1000:.1f}",
-                v1_forced,
-                v2_forced,
-                f"{v1_time / v2_time:.1f}x",
-            ]
-        )
-    return rows, raw, totals
-
-
-PLANNER_HEADER = [
-    "chain",
-    "edges",
-    "v1 (ms)",
-    "v2 (ms)",
-    "v1 forced",
-    "v2 forced",
-    "v1/v2",
-]
-PLANNER_TITLE = (
-    "Planner worst case — all-lazy deep_chain conjunction "
-    "(v1 lowest-index heuristic vs v2 cost-based)"
-)
 
 
 @pytest.mark.parametrize("nodes", SIZES)
@@ -153,92 +54,22 @@ def test_vsf_data_scaling_table(benchmark):
     )
 
 
-def test_planner_worst_case_table(benchmark):
-    rows, _raw, totals = benchmark.pedantic(
-        lambda: planner_rows(PLANNER_SIZES[:2]), rounds=1, iterations=1
-    )
-    print_table(PLANNER_TITLE, PLANNER_HEADER, rows)
-    assert totals[1] <= totals[0], (
-        "the cost-based planner lost to the lowest-index heuristic on its "
-        "own worst-case family"
-    )
-
-
 def main(argv):
-    smoke = "--smoke" in argv
-    json_path = None
-    if "--json" in argv:
-        position = argv.index("--json")
-        if position + 1 >= len(argv) or argv[position + 1].startswith("-"):
-            print(
-                "usage: bench_thm2_vsf_data_complexity [--smoke] [--json PATH]",
-                file=sys.stderr,
-            )
-            return 2
-        json_path = argv[position + 1]
-    # The data-complexity series (the reproduced figure).
-    sizes = SIZES[:2] if smoke else SIZES
-    scaling_rows = []
+    sizes = SIZES[:2] if "--smoke" in argv else SIZES
+    rows = []
     for nodes in sizes:
         db = cached_random_db(nodes, seed=7)
         start = time.perf_counter()
         result = evaluate_vsf(_QUERY, db, precomputed_normal_form=_NORMAL_FORM)
         elapsed = time.perf_counter() - start
-        scaling_rows.append(
-            {
-                "nodes": db.num_nodes(),
-                "edges": db.num_edges(),
-                "seconds": elapsed,
-                "satisfied": result.boolean,
-            }
+        rows.append(
+            [db.num_nodes(), db.num_edges(), f"{elapsed * 1000:.1f}", result.boolean]
         )
     print_table(
         "Theorem 2 — fixed vsf query over growing databases",
         ["nodes", "edges", "ms", "satisfied"],
-        [
-            [row["nodes"], row["edges"], f"{row['seconds'] * 1000:.1f}", row["satisfied"]]
-            for row in scaling_rows
-        ],
+        rows,
     )
-    # The planner worst-case series.  Millisecond-scale smoke rows on shared
-    # CI runners are noisy, so the v2-vs-v1 gate passes if *any* of up to
-    # three sweeps lands inside the margin (a real planner regression —
-    # forcing the wrong relation — fails all of them, and the forced-pairs
-    # assertion inside planner_rows is timer-independent).
-    planner_sizes = SMOKE_PLANNER_SIZES if smoke else PLANNER_SIZES
-    attempts = 3 if smoke else 1
-    for attempt in range(attempts):
-        rows, raw, totals = planner_rows(planner_sizes)
-        if not smoke or totals[1] <= totals[0] * SMOKE_PLANNER_MARGIN:
-            break
-        print(
-            f"[smoke gate] v2 {totals[1] * 1000:.1f} ms vs v1 {totals[0] * 1000:.1f} ms "
-            f"on attempt {attempt + 1}; re-measuring"
-        )
-    print()
-    print_table(PLANNER_TITLE, PLANNER_HEADER, rows)
-    if json_path is not None:
-        # Written before the gate below, so the CI artifact survives (and
-        # documents) a failing run.
-        payload = {
-            "workload": "thm2-vsf+planner-worst-case",
-            "scaling": {"sizes": sizes, "rows": scaling_rows},
-            "planner": {
-                "sizes": planner_sizes,
-                "rows": raw,
-                "v1_total_s": totals[0],
-                "v2_total_s": totals[1],
-            },
-            "smoke": smoke,
-        }
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"[artifact] wrote {json_path}")
-    assert totals[1] <= totals[0] * (SMOKE_PLANNER_MARGIN if smoke else 1.0), (
-        f"planner v2 slower than v1 on the worst-case family: "
-        f"{totals[1] * 1000:.1f} ms vs {totals[0] * 1000:.1f} ms"
-    )
-    print("\nOK" + (" (smoke)" if smoke else ""))
     return 0
 
 

@@ -173,12 +173,8 @@ class Project:
     #: new ContextVar is protected the moment it is written — this map only
     #: guarantees coverage when the defining module is outside the scan set.
     KNOWN_CONTEXTVARS: Dict[str, str] = {
-        "_CACHING": "src/repro/graphdb/cache.py",
-        "_PRODUCT_CACHE": "src/repro/graphdb/cache.py",
         "_CAPACITY_OVERRIDE": "src/repro/graphdb/cache.py",
-        "_BITSET_KERNEL": "src/repro/graphdb/paths.py",
         "_CSR_KERNEL": "src/repro/graphdb/paths.py",
-        "_PLANNER_V2": "src/repro/engine/planner.py",
     }
 
     #: The declared picklable IPC message vocabulary (see

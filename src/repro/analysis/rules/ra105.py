@@ -1,12 +1,12 @@
 """RA105 — ContextVar kill-switches toggle only through their context managers.
 
-Every behavioural arm the repo has grown — cache bypass, the bitset and CSR
-kernel reversions, planner v1 — is a module-level
-:class:`~contextvars.ContextVar` flipped by a ``contextmanager`` that
-``set()``s a token and ``reset()``s it in a ``finally``.  That pairing is
-what makes the switches composable (nesting restores the outer state) and
-concurrency-safe (each asyncio task and ``to_thread`` hop sees its own
-value).  A bare ``VAR.set(...)`` from *another* module leaks the override
+Every context-scoped switch the repo keeps — the reference-arm switch
+``csr_kernel_disabled`` and the ``cache_capacity`` override — is a
+module-level :class:`~contextvars.ContextVar` flipped by a
+``contextmanager`` that ``set()``s a token and ``reset()``s it in a
+``finally``.  That pairing is what makes the switches composable (nesting
+restores the outer state) and concurrency-safe (each asyncio task and
+``to_thread`` hop sees its own value).  A bare ``VAR.set(...)`` from *another* module leaks the override
 past its intended scope — one benchmark disabling the CSR kernel would
 silently slow every later query in the process.  This rule flags ``.set()``
 on any known (or scanned-and-discovered) kill-switch outside its defining
@@ -41,16 +41,16 @@ class Ra105(Rule):
     rule_id = "RA105"
     title = "kill-switch ContextVar .set() outside its defining module"
     rationale = (
-        "The kill-switches (caching_disabled, bitset_kernel_disabled, "
-        "csr_kernel_disabled, planner_v2_disabled) are ContextVars flipped "
-        "by context managers that set() a token and reset() it in a "
-        "finally block — that is what makes them nest and stay scoped per "
-        "asyncio task. A bare VAR.set(...) from another module leaks the "
-        "override for the rest of the process: a benchmark disabling the "
-        "CSR kernel would silently slow every subsequent query. Only the "
-        "defining module (inside its context manager) and tests/ may call "
-        ".set(); everyone else uses the published 'with ..._disabled():' "
-        "managers."
+        "The context-scoped switches (csr_kernel_disabled, which selects "
+        "the reference arm, and the cache_capacity override) are "
+        "ContextVars flipped by context managers that set() a token and "
+        "reset() it in a finally block — that is what makes them nest and "
+        "stay scoped per asyncio task. A bare VAR.set(...) from another "
+        "module leaks the override for the rest of the process: a "
+        "benchmark disabling the CSR kernel would silently slow every "
+        "subsequent query. Only the defining module (inside its context "
+        "manager) and tests/ may call .set(); everyone else uses the "
+        "published context managers."
     )
     examples = {
         "bad": [
@@ -67,8 +67,8 @@ class Ra105(Rule):
                 code=(
                     "from repro.graphdb import cache\n"
                     "\n"
-                    "def disable_caching_forever():\n"
-                    "    cache._CACHING.set(False)\n"
+                    "def unbound_caches_forever():\n"
+                    "    cache._CAPACITY_OVERRIDE.set(None)\n"
                 ),
                 path="src/repro/engine/fixture.py",
             ),

@@ -20,16 +20,10 @@ Every fragment gets the algorithm the paper gives for it:
   the appropriate algorithm.
 
 The backtracking join underneath them plans with per-database cardinality
-statistics (:mod:`repro.engine.planner`); ``planner_v2_disabled`` reverts to
-the heuristic v1 planner for A/B comparisons.
+statistics (:mod:`repro.engine.planner`).
 """
 
-from repro.engine.planner import (
-    planner_stats,
-    planner_v2_disabled,
-    planner_v2_enabled,
-    reset_planner_stats,
-)
+from repro.engine.planner import planner_stats, reset_planner_stats
 from repro.engine.results import EvaluationResult, Match
 from repro.engine.crpq import evaluate_crpq
 from repro.engine.ecrpq import evaluate_ecrpq
@@ -53,7 +47,5 @@ __all__ = [
     "evaluate",
     "evaluate_union",
     "planner_stats",
-    "planner_v2_disabled",
-    "planner_v2_enabled",
     "reset_planner_stats",
 ]

@@ -55,8 +55,7 @@ def evaluate_ecrpq(
     # *and* across evaluations.  Two memo levels: an unbounded
     # per-evaluation dict (the verdict key space is O(|V|^k) per constraint
     # and must never thrash mid-join), backed by the shared per-database
-    # index so verdicts survive across evaluations (a fresh index under
-    # ``caching_disabled`` makes the second level per-evaluation too).
+    # index so verdicts survive across evaluations.
     index = reachability_index(db)
     local_verdicts: Dict[Tuple[int, Tuple[Tuple[Node, Node], ...]], bool] = {}
 

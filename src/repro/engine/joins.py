@@ -9,9 +9,7 @@ once: a greedy, index-backed backtracking join.
 Planning decisions — which edge to bind next, which deferred lazy edge an
 all-lazy component forces, and which direction a lazy edge expands from —
 are delegated to an explicit :class:`repro.engine.planner.JoinPlan` built
-once per join.  The plan's costs come from per-database cardinality
-statistics (planner v2, the default); the previous inline heuristics remain
-available behind :func:`repro.engine.planner.planner_v2_disabled`.
+once per join, whose costs come from per-database cardinality statistics.
 """
 
 from __future__ import annotations

@@ -1,13 +1,8 @@
-"""Cost-based join planning (planner v2), with the heuristic v1 as an A/B oracle.
+"""Cost-based join planning.
 
-:mod:`repro.engine.joins` used to embed its planning decisions inline:
-``_select_edge`` costed unbound edges with ``(2, size_hint())`` — for a lazy
-CSR relation a flat, selectivity-blind ``n²`` — and an all-lazy pattern
-component forced ``min(deferred)``, the *lowest-index* edge, into full
-materialisation regardless of how dense its relation was.  This module
-extracts those decisions into an explicit :class:`JoinPlan` whose costs come
-from the per-database cardinality sketches of
-:mod:`repro.graphdb.stats`:
+:mod:`repro.engine.joins` delegates its planning decisions to an explicit
+:class:`JoinPlan` whose costs come from the per-database cardinality
+sketches of :mod:`repro.graphdb.stats`:
 
 * **edge selection** — an unbound edge's branching cost is its *estimated*
   relation cardinality (exact once materialised), so the backtracking
@@ -21,14 +16,8 @@ from the per-database cardinality sketches of
   domain.
 
 Estimates never affect answers — only the order and direction work happens
-in; the differential harness pins v1 and v2 to byte-identical results.
-
-The previous heuristics survive verbatim behind :func:`planner_v2_disabled`
-(a :class:`~contextvars.ContextVar` switch, the same pattern as the kernel
-arms ``csr_kernel_disabled``/``bitset_kernel_disabled``), so every plan v2
-produces can be cross-checked against the v1 oracle, and regressions can be
-bisected to planning alone.  Which arm a plan uses is captured at plan
-*construction*, so one plan never mixes arms mid-join.
+in; the differential harness pins the production arm to the eager reference
+arm, byte for byte.
 
 Module-level counters (:func:`planner_stats`) record what the planner did —
 edges planned, activation directions, forced materialisations and the pair
@@ -38,34 +27,9 @@ counts they produced — and surface through ``repro evaluate --stats`` /
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
 Node = Hashable
-
-_PLANNER_V2: ContextVar[bool] = ContextVar("repro_planner_v2_enabled", default=True)
-
-
-def planner_v2_enabled() -> bool:
-    """Whether new plans use the cost-based v2 estimates (default)."""
-    return _PLANNER_V2.get()
-
-
-@contextmanager
-def planner_v2_disabled() -> Iterator[None]:
-    """Context manager reverting new plans to the v1 heuristics.
-
-    The A/B oracle arm: inside the context, ``size_hint`` costs, the
-    lowest-index forced edge and the smaller-domain activation direction
-    are used — exactly the pre-planner behaviour.  Backed by a
-    :class:`~contextvars.ContextVar`, so nested and concurrent uses compose.
-    """
-    token = _PLANNER_V2.set(False)
-    try:
-        yield
-    finally:
-        _PLANNER_V2.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +56,8 @@ def planner_stats() -> Dict[str, int]:
     cost; ``forward_activations``/``backward_activations`` count lazy-edge
     expansion directions; ``forced_materialisations`` counts all-lazy
     components that forced a full relation, and ``forced_pairs`` the total
-    pairs those forced materialisations produced — the quantity planner v2
-    exists to shrink.
+    pairs those forced materialisations produced — the quantity the
+    cost-based forced-edge choice exists to shrink.
     """
     return dict(_COUNTERS)
 
@@ -118,19 +82,15 @@ class JoinPlan:
     edge order deterministic for the whole search.
     """
 
-    __slots__ = ("edge_endpoints", "edge_relations", "v2", "_unbound_costs")
+    __slots__ = ("edge_endpoints", "edge_relations", "_unbound_costs")
 
     def __init__(
         self,
         edge_endpoints: Sequence[Tuple[str, str]],
         edge_relations: Sequence,
-        v2: Optional[bool] = None,
     ):
         self.edge_endpoints = edge_endpoints
         self.edge_relations = edge_relations
-        # The arm is captured at construction: a plan never mixes v1 and v2
-        # decisions even if the context flag flips mid-join.
-        self.v2 = planner_v2_enabled() if v2 is None else v2
         self._unbound_costs: Dict[int, int] = {}
         _COUNTERS["plans"] += 1
         _COUNTERS["edges_planned"] += len(edge_endpoints)
@@ -140,19 +100,16 @@ class JoinPlan:
     def unbound_cost(self, index: int) -> int:
         """The branching cost of enumerating edge ``index`` fully unbound.
 
-        v2: the estimated relation cardinality (``estimate_pairs`` — exact
-        for materialised relations, a statistics sketch for lazy ones).
-        v1: the raw ``size_hint`` (``n²`` for an unmaterialised lazy
-        relation).  Memoised per edge for the lifetime of the plan.
+        The estimated relation cardinality (``estimate_pairs`` — exact for
+        materialised relations, a statistics sketch for lazy ones), or the
+        raw ``size_hint`` for relations without estimates.  Memoised per
+        edge for the lifetime of the plan.
         """
         cost = self._unbound_costs.get(index)
         if cost is None:
             relation = self.edge_relations[index]
-            if self.v2:
-                estimate = getattr(relation, "estimate_pairs", None)
-                cost = estimate() if estimate is not None else relation.size_hint()
-            else:
-                cost = relation.size_hint()
+            estimate = getattr(relation, "estimate_pairs", None)
+            cost = estimate() if estimate is not None else relation.size_hint()
             self._unbound_costs[index] = cost
         return cost
 
@@ -161,13 +118,11 @@ class JoinPlan:
     def forced_edge(self, deferred: Set[int]) -> int:
         """Which deferred lazy edge an all-lazy component materialises.
 
-        v2 forces the edge whose relation is estimated cheapest to
-        materialise; v1 forces the lowest index.  Ties break on index, so
-        v2 degrades to exactly v1 when no statistics discriminate.
+        The edge whose relation is estimated cheapest to materialise; ties
+        break on index, so the choice degrades to the lowest index when no
+        statistics discriminate.
         """
-        if self.v2:
-            return min(deferred, key=lambda index: (self.unbound_cost(index), index))
-        return min(deferred)
+        return min(deferred, key=lambda index: (self.unbound_cost(index), index))
 
     def note_forced(self, pair_count: int) -> None:
         """Record one forced materialisation and the pairs it produced."""
@@ -183,12 +138,13 @@ class JoinPlan:
         """``"forward"`` or ``"backward"``: which side a lazy edge expands from.
 
         With only one domain known there is no choice.  With both known,
-        v1 compares the raw domain sizes; v2 weights each by the expected
-        per-node fanout of the relation's labels in that direction (the
-        statistics' reachability sketch), since expanding few high-fanout
-        nodes can cost more than many low-fanout ones.  Falls back to the
-        v1 comparison when no statistics are available.  The direction
-        never changes the expanded pair set — only the work to compute it.
+        each domain size is weighted by the expected per-node fanout of the
+        relation's labels in that direction (the statistics' reachability
+        sketch), since expanding few high-fanout nodes can cost more than
+        many low-fanout ones.  Falls back to comparing the raw domain sizes
+        when no statistics are available or the estimates tie.  The
+        direction never changes the expanded pair set — only the work to
+        compute it.
         """
         direction = self._direction(index, domain_source, domain_target)
         if direction == "forward":
@@ -207,22 +163,21 @@ class JoinPlan:
             return "forward"
         if domain_source is None:
             return "backward"
-        if self.v2:
-            relation = self.edge_relations[index]
-            statistics_of = getattr(relation, "plan_statistics", None)
-            statistics = statistics_of() if statistics_of is not None else None
-            if statistics is not None:
-                labels = relation.labels()
-                forward_cost = statistics.estimate_frontier(
-                    len(domain_source), labels, forward=True
-                )
-                backward_cost = statistics.estimate_frontier(
-                    len(domain_target), labels, forward=False
-                )
-                if forward_cost != backward_cost:
-                    return "forward" if forward_cost < backward_cost else "backward"
-                # Fall through to the v1 tie-break: identical estimates must
-                # not flip the deterministic choice.
+        relation = self.edge_relations[index]
+        statistics_of = getattr(relation, "plan_statistics", None)
+        statistics = statistics_of() if statistics_of is not None else None
+        if statistics is not None:
+            labels = relation.labels()
+            forward_cost = statistics.estimate_frontier(
+                len(domain_source), labels, forward=True
+            )
+            backward_cost = statistics.estimate_frontier(
+                len(domain_target), labels, forward=False
+            )
+            if forward_cost != backward_cost:
+                return "forward" if forward_cost < backward_cost else "backward"
+            # Identical estimates fall through to the domain-size tie-break,
+            # so they never flip the deterministic choice.
         return (
             "forward" if len(domain_source) <= len(domain_target) else "backward"
         )

@@ -29,9 +29,9 @@ from repro.core.errors import FragmentError
 from repro.automata.nfa import NFA, intersect_all
 from repro.engine.joins import join_morphisms
 from repro.engine.results import DEFAULT_MATCH_LIMIT, EvaluationResult, Match
-from repro.graphdb.cache import caching_enabled, product_cache_enabled, reachability_index
+from repro.graphdb.cache import reachability_index
 from repro.graphdb.database import GraphDatabase
-from repro.graphdb.paths import db_nfa_between, find_path_word
+from repro.graphdb.paths import csr_kernel_enabled, find_path_word
 from repro.queries.cxrpq import CXRPQ
 from repro.queries.pattern import GraphPattern
 from repro.regex import properties as props
@@ -233,14 +233,15 @@ class _SimpleEvaluator:
     All reachability work goes through the shared per-database
     :class:`~repro.graphdb.cache.ReachabilityIndex`: unit relations are
     memoised by NFA fingerprint (identical units — e.g. repeated ``VarRef``
-    universal automata — share one relation), and the DB-as-NFA transition
-    table is built once per evaluation instead of once per morphism.  With
-    the CSR kernel active the unit relations are
-    :class:`~repro.graphdb.cache.LazyRelation` views: on endpoint-bound
-    evaluations (``fixed``, the Check problem) dense ``VarRef`` relations
-    expand row by row — backward over the reversed CSR arrays when the
-    target side is the bound one — instead of materialising ``O(n²)`` pair
-    sets, and the synchronisation products explore bitmask track states.
+    universal automata — share one relation).  With the CSR kernel active
+    the unit relations are :class:`~repro.graphdb.cache.LazyRelation`
+    views: on endpoint-bound evaluations (``fixed``, the Check problem)
+    dense ``VarRef`` relations expand row by row — backward over the
+    reversed CSR arrays when the target side is the bound one — instead of
+    materialising ``O(n²)`` pair sets, and the synchronisation products
+    explore bitmask track states.  Only the reference arm
+    (:func:`~repro.graphdb.paths.csr_kernel_disabled`) builds the DB-as-NFA
+    view, for its direct ``intersect_all`` construction.
     """
 
     def __init__(self, plan: _UnitPlan, db: GraphDatabase, alphabet: Alphabet, image_bound: Optional[int]):
@@ -248,12 +249,12 @@ class _SimpleEvaluator:
         self.db = db
         self.alphabet = alphabet
         self.image_bound = image_bound
-        self._use_cache = caching_enabled()
         index = reachability_index(db)
         self._index = index
-        self._use_product_cache = self._use_cache and product_cache_enabled()
+        # The arm is captured with the relations, so one evaluation never
+        # mixes production relations with reference-arm synchronisation.
+        self._reference_arm = not csr_kernel_enabled()
         self.relations = [index.relation(unit.nfa) for unit in plan.units]
-        self.db_view = index.view() if self._use_cache else None
         # Shortest synchronising word per (variable, group endpoints); the
         # check only depends on the endpoints, which repeat across morphisms.
         self._sync_cache: Dict[Tuple[str, Tuple[Tuple[Node, Node], ...]], Optional[Tuple]] = {}
@@ -277,15 +278,12 @@ class _SimpleEvaluator:
     # -- synchronisation -----------------------------------------------------------
 
     def _group_product(self, morphism: Dict[str, Node], members: Sequence[int]) -> NFA:
+        """The direct Lemma 3 construction of the reference arm."""
+        db_view = self._index.view()
         automata: List[NFA] = []
         for index in members:
             unit = self.plan.units[index]
-            source = morphism[unit.source]
-            target = morphism[unit.target]
-            if self.db_view is not None:
-                automata.append(self.db_view.between(source, [target]))
-            else:
-                automata.append(db_nfa_between(self.db, source, [target]))
+            automata.append(db_view.between(morphism[unit.source], [morphism[unit.target]]))
             automata.append(unit.nfa)
         return intersect_all(automata)
 
@@ -295,8 +293,8 @@ class _SimpleEvaluator:
         The synchronisation product only depends on the endpoints the
         morphism assigns to the group's units, so the result is cached per
         endpoint tuple and shared across the (many) morphisms that agree on
-        that part of the assignment.  With the product cache on, the product
-        automaton itself comes from the per-database
+        that part of the assignment.  In production the product automaton
+        itself comes from the per-database
         :class:`~repro.graphdb.cache.SynchronisationProductCache` — built
         once per (db version, unit fingerprints) and parameterised by the
         endpoints — so its memoised expansion and shortest words are shared
@@ -307,18 +305,17 @@ class _SimpleEvaluator:
             (morphism[self.plan.units[i].source], morphism[self.plan.units[i].target]) for i in members
         )
         key = (variable, endpoints)
-        if self._use_cache and key in self._sync_cache:
+        if key in self._sync_cache:
             return self._sync_cache[key]
-        if self._use_product_cache:
+        if self._reference_arm:
+            shortest = self._group_product(morphism, members).shortest_word()
+        else:
             view = self._group_views.get(variable)
             if view is None:
                 view = self._index.group_product([self.plan.units[i].nfa for i in members])
                 self._group_views[variable] = view
             shortest = view.shortest_word(endpoints)
-        else:
-            shortest = self._group_product(morphism, members).shortest_word()
-        if self._use_cache:
-            self._sync_cache[key] = shortest
+        self._sync_cache[key] = shortest
         return shortest
 
     def _check_synchronisation(self, morphism: Dict[str, Node]) -> bool:

@@ -9,8 +9,6 @@ from repro.graphdb.paths import (
     evaluate_rpq,
     find_path_word,
     db_nfa_between,
-    bitset_kernel_disabled,
-    bitset_kernel_enabled,
     csr_kernel_disabled,
     csr_kernel_enabled,
 )
@@ -22,12 +20,8 @@ from repro.graphdb.cache import (
     SynchronisationProductCache,
     cache_capacity,
     cache_stats,
-    caching_disabled,
-    caching_enabled,
     invalidate_cache,
     preload_csr,
-    product_cache_disabled,
-    product_cache_enabled,
     reachability_index,
     set_cache_capacity,
 )
@@ -49,8 +43,6 @@ __all__ = [
     "evaluate_rpq",
     "find_path_word",
     "db_nfa_between",
-    "bitset_kernel_disabled",
-    "bitset_kernel_enabled",
     "csr_kernel_disabled",
     "csr_kernel_enabled",
     "DatabaseAutomatonView",
@@ -60,12 +52,8 @@ __all__ = [
     "SynchronisationProductCache",
     "cache_capacity",
     "cache_stats",
-    "caching_disabled",
-    "caching_enabled",
     "invalidate_cache",
     "preload_csr",
-    "product_cache_disabled",
-    "product_cache_enabled",
     "reachability_index",
     "set_cache_capacity",
     "SnapshotDatabase",

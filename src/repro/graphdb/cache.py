@@ -12,8 +12,7 @@ engine and the ECRPQ engine) bottoms out in a handful of primitives:
   readable along the database between all the group's endpoint pairs,
   intersected with the group's unit automata (proof of Lemma 3).
 
-The seed recomputed all of them from scratch per unit and per candidate
-morphism.  This module provides the shared, per-database cache layer:
+This module provides the shared, per-database cache layer over them:
 
 ``ReachabilityIndex``
     memoises reachability relations keyed by a canonical NFA fingerprint
@@ -23,33 +22,28 @@ morphism.  This module provides the shared, per-database cache layer:
 
 ``DatabaseAutomatonView``
     builds the DB-as-NFA transition table **once** and hands out lightweight
-    *frozen* parameterised views (start/accepting only), replacing the
-    per-morphism ``db_nfa_between`` rebuild inside the synchronisation checks.
+    *frozen* parameterised views (start/accepting only).  The generic engine
+    and the reference arm's direct Lemma 3 construction use it.
 
 ``SynchronisationProductCache``
-    builds each ``intersect_all`` synchronisation product **once** per
-    ``(db version, sorted unit fingerprints)`` and hands out
-    endpoint-parameterised views — the same parameterised-view trick as
-    ``DatabaseAutomatonView.between``, pushed one level up to the whole
-    product automaton.  Under the CSR kernel the product explores **int
-    bitmask** track states over dense node ids instead of frozensets.
+    builds each synchronisation product **once** per ``(db version, sorted
+    unit fingerprints)`` and hands out endpoint-parameterised views — the
+    same parameterised-view trick as ``DatabaseAutomatonView.between``,
+    pushed one level up to the whole product automaton.  The product
+    explores **int bitmask** track states over dense node ids.
 
 ``LazyRelation`` / ``ReachabilityIndex.csr()``
-    the third-generation layer: one label-grouped CSR adjacency snapshot
-    (forward *and* reversed) per database version, and reachability
-    relations whose rows (``targets_of``/``sources_of``) are product
-    searches run on demand and memoised per source — dense relations only
-    materialise ``O(n²)`` pair sets when a join genuinely enumerates them
-    unbound.
+    one label-grouped CSR adjacency snapshot (forward *and* reversed) per
+    database version, and reachability relations whose rows
+    (``targets_of``/``sources_of``) are product searches run on demand and
+    memoised per source — dense relations only materialise ``O(n²)`` pair
+    sets when a join genuinely enumerates them unbound.
 
 All caches are LRU-bounded (:func:`set_cache_capacity`, default
 :data:`DEFAULT_CACHE_CAPACITY` entries per cache) with hit/miss/eviction
 counters surfaced through :func:`cache_stats`.  Caches are invalidated
 automatically when the database mutates (tracked via
-``GraphDatabase.version``).  :func:`caching_disabled` switches the layer off
-for A/B benchmarking against the seed behaviour; the flag is a
-:class:`contextvars.ContextVar`, so nested and concurrent (threaded/async)
-uses compose correctly.
+``GraphDatabase.version``).
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ from typing import (
     Union,
 )
 
-from repro.automata.nfa import EPSILON_LABEL, NFA, intersect_all
+from repro.automata.nfa import NFA, intersect_all
 from repro.graphdb.database import GraphDatabase, Node
 from repro.graphdb.paths import (
     CsrAdjacency,
@@ -94,7 +88,7 @@ if TYPE_CHECKING:  # runtime import stays local to relation() (circularity)
 Fingerprint = Tuple[Hashable, ...]
 
 #: What :meth:`ReachabilityIndex.relation` hands the join machinery: a lazy
-#: CSR-backed relation (third-generation kernel) or an eager pair set.
+#: CSR-backed relation (production) or an eager pair set (reference arm).
 JoinRelation = Union["EdgeRelation", "LazyRelation"]
 
 #: Default LRU capacity of each individual cache of a :class:`ReachabilityIndex`.
@@ -106,8 +100,6 @@ DEFAULT_CACHE_CAPACITY = 4096
 #: every evicted relation (the two caches would cycle in lockstep).
 LAZY_ROW_GENERATIONS = 4
 
-_CACHING: ContextVar[bool] = ContextVar("repro_caching_enabled", default=True)
-_PRODUCT_CACHE: ContextVar[bool] = ContextVar("repro_product_cache_enabled", default=True)
 _CAPACITY_OVERRIDE: ContextVar[Optional[int]] = ContextVar(
     "repro_cache_capacity", default=None
 )
@@ -280,26 +272,23 @@ class SynchronisationProduct:
     state set of the units' own intersection NFA.  Only the start state
     (the tuple of source singletons) and the acceptance condition (every
     track containing its target) depend on the endpoints.  So the expansion
-    is memoised in ``_successors`` and shared by *all* endpoint pairs — the
+    is memoised in ``_succ`` and shared by *all* endpoint pairs — the
     same parameterised-view trick as :meth:`DatabaseAutomatonView.between`,
     one level up.
 
-    With the CSR kernel active the per-track node subsets and the unit
-    state set are **int bitmasks** over dense ids (sharing the
-    :class:`~repro.graphdb.paths._NfaTables` machinery of the BFS kernel),
-    so the subset step is bulk integer or-ing over precomputed per-label
-    successor masks instead of per-node set unions.  The frozenset
-    expansion is kept behind :func:`~repro.graphdb.paths.csr_kernel_disabled`
-    as the second-generation oracle; both expansions memoise independently.
+    The per-track node subsets and the unit state set are **int bitmasks**
+    over dense ids (sharing the :class:`~repro.graphdb.paths._NfaTables`
+    machinery of the BFS kernel), so the subset step is bulk integer or-ing
+    over precomputed per-label successor masks instead of per-node set
+    unions.  The reference arm does not come here: it intersects the
+    DB-as-NFA views with the unit automata directly.
     """
 
     __slots__ = (
         "_db_ref",
         "_units",
-        "_units_start",
         "_track_count",
         "_succ",
-        "_succ_masks",
         "_unit_tables",
         "_csr",
         "_shortest",
@@ -311,14 +300,11 @@ class SynchronisationProduct:
         self._db_ref = weakref.ref(db)
         self._track_count = len(unit_nfas)
         self._units = intersect_all(list(unit_nfas))
-        self._units_start = frozenset(self._units.epsilon_closure({self._units.start}))
-        # (tracks, unit_states) -> tuple of (label, successor state)
+        # (track masks, unit-state mask) -> tuple of (label, successor state)
         self._succ: Dict[Tuple, Tuple] = {}
-        # Bitmask twin of ``_succ``: (track masks, unit-state mask) states.
-        self._succ_masks: Dict[Tuple, Tuple] = {}
         self._unit_tables: Optional[_NfaTables] = None
         self._csr: Optional[CsrAdjacency] = None
-        # (kernel arm, endpoints) -> shortest synchronising word (or None)
+        # endpoints -> shortest synchronising word (or None)
         self._shortest: Dict[Tuple, Optional[Tuple]] = {}
 
     @property
@@ -345,19 +331,14 @@ class SynchronisationProduct:
             raise ValueError(
                 f"expected {self._track_count} endpoint pairs, got {len(key)}"
             )
-        # The memo is keyed by kernel arm as well: the two expansions must
-        # stay independently exercisable, or an A/B toggle on a warm product
-        # would compare the CSR kernel with its own memoised results.
-        use_masks = csr_kernel_enabled()
-        memo_key = (use_masks, key)
-        cached = self._shortest.get(memo_key, _MISSING)
+        cached = self._shortest.get(key, _MISSING)
         if cached is not _MISSING:
             return cached
-        result = self._search_masks(key) if use_masks else self._search(key)
-        self._shortest[memo_key] = result
+        result = self._search(key)
+        self._shortest[key] = result
         return result
 
-    # -- bitmask product exploration (third-generation kernel) -------------------
+    # -- bitmask product exploration ---------------------------------------------
 
     def _tables(self) -> _NfaTables:
         """Dense bitmask tables of the units' intersection NFA (built once)."""
@@ -368,14 +349,10 @@ class SynchronisationProduct:
     def _csr_snapshot(self) -> CsrAdjacency:
         """The CSR arrays of the product's database (one snapshot, shared)."""
         if self._csr is None:
-            db = self._db()
-            if _CACHING.get():
-                self._csr = reachability_index(db).csr()
-            else:
-                self._csr = CsrAdjacency(db)
+            self._csr = reachability_index(self._db()).csr()
         return self._csr
 
-    def _successors_masks(self, state: Tuple) -> Tuple:
+    def _successors(self, state: Tuple) -> Tuple:
         """Successor list of a bitmask product state, memoised.
 
         ``state`` is ``(track_masks, unit_mask)``: per-track node-id
@@ -383,7 +360,7 @@ class SynchronisationProduct:
         track step is a bulk or over the CSR-derived per-node successor
         masks; the unit step comes pre-closed from ``_NfaTables``.
         """
-        cached = self._succ_masks.get(state)
+        cached = self._succ.get(state)
         if cached is not None:
             return cached
         csr = self._csr_snapshot()
@@ -415,10 +392,10 @@ class SynchronisationProduct:
                 continue
             found.append((label, (tuple(next_tracks), per_label_units[label])))
         result = tuple(found)
-        self._succ_masks[state] = result
+        self._succ[state] = result
         return result
 
-    def _search_masks(self, endpoints: Tuple[Tuple[Node, Node], ...]) -> Optional[Tuple]:
+    def _search(self, endpoints: Tuple[Tuple[Node, Node], ...]) -> Optional[Tuple]:
         """Breadth-first shortest synchronising word over bitmask states."""
         csr = self._csr_snapshot()
         node_id = csr.node_id
@@ -440,87 +417,6 @@ class SynchronisationProduct:
         start = (
             tuple(1 << node_id[source] for source, _target in endpoints),
             tables.start_mask,
-        )
-        if accepts(start):
-            return ()
-        parents: Dict[Tuple, Optional[Tuple]] = {start: None}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            for label, successor in self._successors_masks(state):
-                if successor in parents:
-                    continue
-                parents[successor] = (state, label)
-                if accepts(successor):
-                    word: List = []
-                    current: Optional[Tuple] = successor
-                    while parents[current] is not None:
-                        previous, via = parents[current]
-                        word.append(via)
-                        current = previous
-                    return tuple(reversed(word))
-                queue.append(successor)
-        return None
-
-    # -- lazy product exploration ------------------------------------------------
-
-    def _successors(self, state: Tuple) -> Tuple:
-        cached = self._succ.get(state)
-        if cached is not None:
-            return cached
-        db = self._db()
-        tracks, unit_states = state
-        found: List[Tuple] = []
-        labels = sorted(
-            {
-                label
-                for unit_state in unit_states
-                for label, _target in self._units.transitions_from(unit_state)
-                if label is not EPSILON_LABEL
-            },
-            key=repr,
-        )
-        for label in labels:
-            next_tracks: List[frozenset] = []
-            feasible = True
-            for track in tracks:
-                stepped: Set[Node] = set()
-                for node in track:
-                    stepped.update(db.successors_by_label(node, label))
-                if not stepped:
-                    feasible = False
-                    break
-                next_tracks.append(frozenset(stepped))
-            if not feasible:
-                continue
-            next_units = self._units.step(unit_states, label)
-            if not next_units:
-                continue
-            found.append((label, (tuple(next_tracks), frozenset(next_units))))
-        result = tuple(found)
-        self._succ[state] = result
-        return result
-
-    def _search(self, endpoints: Tuple[Tuple[Node, Node], ...]) -> Optional[Tuple]:
-        db = self._db()
-        nodes = db.nodes
-        for source, target in endpoints:
-            if source not in nodes or target not in nodes:
-                # Matches db_nfa_between: absent endpoints have no paths,
-                # not even the trivial empty one.
-                return None
-        targets = tuple(target for _source, target in endpoints)
-        accepting_units = self._units.accepting
-
-        def accepts(state: Tuple) -> bool:
-            tracks, unit_states = state
-            if not unit_states & accepting_units:
-                return False
-            return all(target in track for target, track in zip(targets, tracks))
-
-        start = (
-            tuple(frozenset((source,)) for source, _target in endpoints),
-            self._units_start,
         )
         if accepts(start):
             return ()
@@ -611,29 +507,8 @@ class SynchronisationProductCache:
         return self._lru.stats()
 
 
-def product_cache_enabled() -> bool:
-    """Whether synchronisation checks go through the shared product cache."""
-    return _PRODUCT_CACHE.get()
-
-
-@contextmanager
-def product_cache_disabled() -> Iterator[None]:
-    """Context manager bypassing the synchronisation-product cache.
-
-    With the product cache off (but caching otherwise on) the engines fall
-    back to the PR 1 behaviour: one fresh ``intersect_all`` product per
-    synchronisation group and endpoint tuple.  Used as the "B" arm of the
-    A/B/C benchmark.
-    """
-    token = _PRODUCT_CACHE.set(False)
-    try:
-        yield
-    finally:
-        _PRODUCT_CACHE.reset(token)
-
-
 # ---------------------------------------------------------------------------
-# Lazy per-source reachability relation (third-generation kernel)
+# Lazy per-source reachability relation (CSR kernel)
 # ---------------------------------------------------------------------------
 
 _EMPTY_NODES: frozenset = frozenset()
@@ -1107,11 +982,11 @@ class ReachabilityIndex:
         With the CSR kernel active this is a :class:`LazyRelation` — rows
         are product searches run on demand and memoised per source/target,
         so a dense relation only ever materialises the part a join actually
-        touches.  With the CSR kernel off (the second-generation arm) it is
-        an eagerly materialised :class:`~repro.engine.joins.EdgeRelation`
-        over the full pair set.  Either way the relation objects are
-        deduplicated by fingerprint, so identical unit automata share one
-        instance (and its memoised rows).
+        touches.  Under :func:`~repro.graphdb.paths.csr_kernel_disabled`
+        (the reference arm) it is an eagerly materialised
+        :class:`~repro.engine.joins.EdgeRelation` over the full pair set.
+        Either way the relation objects are deduplicated by fingerprint, so
+        identical unit automata share one instance (and its memoised rows).
 
         Lazy relations draw their row memo from a shared
         :class:`_LazyRowStore` keyed by ``(db version, fingerprint)``:
@@ -1204,21 +1079,11 @@ _INDEXES: "weakref.WeakKeyDictionary[GraphDatabase, ReachabilityIndex]" = (
 )
 
 
-def caching_enabled() -> bool:
-    """Whether the shared cache layer is active in the current context."""
-    return _CACHING.get()
-
-
 def reachability_index(db: GraphDatabase) -> ReachabilityIndex:
     """The shared :class:`ReachabilityIndex` of ``db``.
 
     Indexes are held weakly, so dropping the database also drops its cache.
-    Under :func:`caching_disabled` a fresh, unshared index is returned on
-    every call, which reproduces the seed's recompute-per-unit behaviour for
-    A/B benchmarking.
     """
-    if not _CACHING.get():
-        return ReachabilityIndex(db)
     index = _INDEXES.get(db)
     if index is None:
         index = ReachabilityIndex(db)
@@ -1235,12 +1100,8 @@ def preload_csr(db: GraphDatabase, csr: CsrAdjacency) -> bool:
     """Seed ``db``'s shared index with a storage-loaded CSR snapshot.
 
     Returns whether the snapshot was accepted (see
-    :meth:`ReachabilityIndex.preload_csr`).  Under :func:`caching_disabled`
-    there is no shared index to seed, so the preload is a no-op — queries in
-    that mode rebuild per call by design.
+    :meth:`ReachabilityIndex.preload_csr`).
     """
-    if not _CACHING.get():
-        return False
     return reachability_index(db).preload_csr(csr)
 
 
@@ -1248,11 +1109,8 @@ def preload_statistics(db: GraphDatabase, statistics: GraphStatistics) -> bool:
     """Seed ``db``'s shared index with a storage-loaded statistics block.
 
     Returns whether the block was accepted (see
-    :meth:`ReachabilityIndex.preload_statistics`).  Under
-    :func:`caching_disabled` there is no shared index to seed — no-op.
+    :meth:`ReachabilityIndex.preload_statistics`).
     """
-    if not _CACHING.get():
-        return False
     return reachability_index(db).preload_statistics(statistics)
 
 
@@ -1313,18 +1171,3 @@ def cache_stats(db: Optional[GraphDatabase] = None) -> Dict[str, Dict[str, Optio
             if "preloaded" in stats:
                 into["preloaded"] += stats["preloaded"]
     return aggregate
-
-
-@contextmanager
-def caching_disabled() -> Iterator[None]:
-    """Context manager that bypasses the shared cache (for benchmarks).
-
-    Backed by a :class:`contextvars.ContextVar`, so nested uses restore the
-    surrounding state and concurrent threads or async tasks toggling the
-    flag do not re-enable caching underneath each other.
-    """
-    token = _CACHING.set(False)
-    try:
-        yield
-    finally:
-        _CACHING.reset(token)

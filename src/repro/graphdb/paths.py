@@ -6,26 +6,21 @@ database ``D``, compute which node pairs are connected by a path whose label
 lies in ``L(M)``.  The product construction runs in ``O(|D| · |M|)`` per
 source node, matching the textbook NL algorithm behind Lemma 1.
 
-Three generations of the kernel coexist:
+Two arms implement the searches:
 
-* the **CSR kernel** (default) walks :class:`CsrAdjacency` — label-grouped
+* the **CSR kernel** (production) walks :class:`CsrAdjacency` — label-grouped
   ``indptr``/``indices`` arrays over dense node ids, built **once per
   database version** in both the forward and the reversed direction and
   shared through the per-database :class:`~repro.graphdb.cache.ReachabilityIndex`.
-  The inner BFS loop indexes flat integer arrays instead of hashing node
-  objects, and backward searches reuse the memoised reversed arrays instead
-  of rebuilding a reversed-edge index per call.
-* the **bitset kernel** assigns every database node and NFA state a dense
-  integer id and represents frontier/visited sets as int bitmasks, so the
-  inner BFS loop runs on C-speed integer union/difference instead of Python
-  set operations.  ``reachable_pairs`` additionally selects a **backward**
-  product search automatically when the caller restricts the targets and
-  ``|targets| << |sources|`` (BFS over the reversed database with the
-  reversed NFA).  It remains available behind :func:`csr_kernel_disabled`
-  as the second-generation A/B arm.
-* the original **set-based kernel** is kept verbatim behind
-  :func:`bitset_kernel_disabled` for A/B benchmarking and as the oracle of
-  the property-style equivalence tests.
+  Frontier and visited sets are int bitmasks, so the inner BFS loop indexes
+  flat integer arrays instead of hashing node objects.  ``reachable_pairs``
+  selects a **backward** product search automatically when the caller
+  restricts the targets and ``|targets| << |sources|`` (BFS over the
+  reversed arrays with the reversed NFA).
+* the seed's **set-based BFS** is the reference arm, behind
+  :func:`csr_kernel_disabled`: a deliberately simple oracle over the
+  per-node adjacency dictionaries that the differential tests pin the CSR
+  kernel to.
 """
 
 from __future__ import annotations
@@ -44,46 +39,25 @@ from repro.regex import syntax as rx
 #: sources, ``reachable_pairs`` switches to the backward product search.
 BACKWARD_SEARCH_RATIO = 4
 
-_BITSET_KERNEL: ContextVar[bool] = ContextVar("repro_bitset_kernel", default=True)
 _CSR_KERNEL: ContextVar[bool] = ContextVar("repro_csr_kernel", default=True)
 
 
-def bitset_kernel_enabled() -> bool:
-    """Whether the bitset BFS kernel is active (default) in this context."""
-    return _BITSET_KERNEL.get()
-
-
-@contextmanager
-def bitset_kernel_disabled() -> Iterator[None]:
-    """Context manager that falls back to the set-based kernel.
-
-    Context-local (a :class:`contextvars.ContextVar`), so nested uses and
-    concurrent threads/tasks do not interfere — used by the A/B/C benchmark
-    and by the equivalence tests that compare both kernels.
-    """
-    token = _BITSET_KERNEL.set(False)
-    try:
-        yield
-    finally:
-        _BITSET_KERNEL.reset(token)
-
-
 def csr_kernel_enabled() -> bool:
-    """Whether the third-generation CSR kernel is active in this context.
-
-    The CSR kernel builds on the bitset representation, so disabling the
-    bitset kernel also disables the CSR kernel.
-    """
-    return _CSR_KERNEL.get() and _BITSET_KERNEL.get()
+    """Whether the production CSR kernel is active in this context."""
+    return _CSR_KERNEL.get()
 
 
 @contextmanager
 def csr_kernel_disabled() -> Iterator[None]:
-    """Context manager that falls back to the second-generation bitset kernel.
+    """Context manager that switches to the reference arm.
 
-    With the CSR kernel off (but the bitset kernel on) the searches run over
-    the per-node adjacency dictionaries and relations are materialised
-    eagerly — the PR 2 behaviour, kept as the "C" arm of the benchmark.
+    Inside the context the searches run the seed's set-based BFS over the
+    per-node adjacency dictionaries, relations are materialised eagerly as
+    :class:`~repro.engine.joins.EdgeRelation` pair sets, and the Lemma 3
+    synchronisation check intersects the DB-as-NFA views with the unit
+    automata directly (``intersect_all``).  Context-local (a
+    :class:`contextvars.ContextVar`), so nested uses and concurrent
+    threads/tasks do not interfere.
     """
     token = _CSR_KERNEL.set(False)
     try:
@@ -93,7 +67,7 @@ def csr_kernel_disabled() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# Bitset kernel
+# CSR kernel
 # ---------------------------------------------------------------------------
 
 
@@ -181,7 +155,7 @@ class CsrAdjacency:
             label: self._pack(pairs) for label, pairs in backward_per_label.items()
         }
         # Per-label successor bitmasks (node id -> int mask), derived lazily
-        # from the forward CSR slices for the bitset product-track stepping.
+        # from the forward CSR slices for the bitmask product-track stepping.
         self._step_masks: Dict[str, List[int]] = {}
 
     @classmethod
@@ -256,16 +230,12 @@ def _shared_tables(db: GraphDatabase, nfa: NFA, reverse: bool = False) -> _NfaTa
 
     Memoised by NFA fingerprint in the per-database
     :class:`~repro.graphdb.cache.ReachabilityIndex` (counters under
-    ``cache_stats()['nfa_tables']``); under ``caching_disabled`` a fresh
-    table set is built per call, reproducing the rebuild-per-query seed
-    behaviour for A/B measurements.
+    ``cache_stats()['nfa_tables']``).
     """
     # Local import: cache imports this module at module scope.
-    from repro.graphdb.cache import caching_enabled, reachability_index
+    from repro.graphdb.cache import reachability_index
 
-    if caching_enabled():
-        return reachability_index(db).nfa_tables(nfa, reverse=reverse)
-    return _NfaTables(nfa.reverse() if reverse else nfa)
+    return reachability_index(db).nfa_tables(nfa, reverse=reverse)
 
 
 def _shared_csr(db: GraphDatabase) -> CsrAdjacency:
@@ -273,9 +243,7 @@ def _shared_csr(db: GraphDatabase) -> CsrAdjacency:
 
     Routed through :func:`repro.graphdb.cache.reachability_index` so the
     arrays are built once per database version (with honest hit/miss
-    counters under ``cache_stats()['csr']``); under ``caching_disabled`` a
-    fresh snapshot is built per call, reproducing the seed's
-    rebuild-per-query behaviour for A/B measurements.
+    counters under ``cache_stats()['csr']``).
     """
     # Local import: cache imports this module at module scope.
     from repro.graphdb.cache import reachability_index
@@ -319,9 +287,13 @@ def _reachable_pairs_csr(
     tables: _NfaTables,
     candidates: Sequence[int],
 ) -> Set[Tuple[int, int]]:
-    """Multi-source product BFS over CSR arrays (dense-id counterpart of
-    :func:`_reachable_pairs_bitset`); returns ``(candidate id, node id)``
-    pairs."""
+    """Multi-source product BFS over CSR arrays.
+
+    Every product state ``(node, nfa_state)`` carries the bitmask of
+    candidate indices known to reach it; newly arrived candidates are
+    propagated in bulk via integer or/and-not instead of per-source BFS.
+    Returns ``(candidate id, node id)`` pairs.
+    """
     reached: Dict[Tuple[int, int], int] = {}
     dirty: Dict[Tuple[int, int], int] = {}
     queue: deque = deque()
@@ -374,115 +346,17 @@ def _reachable_pairs_csr(
     return pairs
 
 
-def _product_search_masks(
-    adjacency_of,
-    in_db,
-    tables: _NfaTables,
-    source: Node,
-) -> Dict[Node, int]:
-    """Single-source product BFS; per-node bitmask of reachable NFA states."""
-    reached: Dict[Node, int] = {}
-    if not in_db(source):
-        return reached
-    reached[source] = tables.start_mask
-    queue: deque = deque()
-    queue.append((source, tables.start_mask))
-    closed = tables.closed
-    while queue:
-        node, delta = queue.popleft()
-        adjacency = adjacency_of(node)
-        if not adjacency:
-            continue
-        step: Dict[Hashable, int] = {}
-        for state in _iter_bits(delta):
-            for label, target_mask in closed[state].items():
-                if label in adjacency:
-                    step[label] = step.get(label, 0) | target_mask
-        for label, target_mask in step.items():
-            for db_target in adjacency[label]:
-                known = reached.get(db_target, 0)
-                fresh = target_mask & ~known
-                if fresh:
-                    reached[db_target] = known | fresh
-                    queue.append((db_target, fresh))
-    return reached
-
-
-def _reachable_pairs_bitset(
-    adjacency_of,
-    tables: _NfaTables,
-    candidates: Sequence[Node],
-) -> Set[Tuple[Node, Node]]:
-    """Multi-source product BFS with int-bitmask source sets.
-
-    Every product state ``(node, nfa_state)`` carries the bitmask of source
-    indices known to reach it; newly arrived sources are propagated in bulk
-    via integer or/and-not instead of per-source BFS or Python set algebra.
-    """
-    reached: Dict[Tuple[Node, int], int] = {}
-    dirty: Dict[Tuple[Node, int], int] = {}
-    queue: deque = deque()
-    queued: Set[Tuple[Node, int]] = set()
-    start_states = list(_iter_bits(tables.start_mask))
-    for index, source in enumerate(candidates):
-        bit = 1 << index
-        for state in start_states:
-            key = (source, state)
-            reached[key] = reached.get(key, 0) | bit
-            dirty[key] = dirty.get(key, 0) | bit
-            if key not in queued:
-                queued.add(key)
-                queue.append(key)
-    closed = tables.closed
-    while queue:
-        key = queue.popleft()
-        queued.discard(key)
-        delta = dirty.pop(key, 0)
-        if not delta:
-            continue
-        node, state = key
-        transitions = closed[state]
-        if not transitions:
-            continue
-        adjacency = adjacency_of(node)
-        if not adjacency:
-            continue
-        for label, target_mask in transitions.items():
-            db_targets = adjacency.get(label)
-            if not db_targets:
-                continue
-            for db_target in db_targets:
-                for nfa_target in _iter_bits(target_mask):
-                    successor = (db_target, nfa_target)
-                    known = reached.get(successor, 0)
-                    fresh = delta & ~known
-                    if not fresh:
-                        continue
-                    reached[successor] = known | fresh
-                    dirty[successor] = dirty.get(successor, 0) | fresh
-                    if successor not in queued:
-                        queued.add(successor)
-                        queue.append(successor)
-    accepting = tables.accepting_states
-    pairs: Set[Tuple[Node, Node]] = set()
-    for (node, state), source_mask in reached.items():
-        if state in accepting:
-            for index in _iter_bits(source_mask):
-                pairs.add((candidates[index], node))
-    return pairs
-
-
 def _reverse_adjacency(db: GraphDatabase) -> Dict[Node, Dict[str, List[Node]]]:
     """The ``node -> {label: [predecessors]}`` index of the reversed database."""
     reverse: Dict[Node, Dict[str, List[Node]]] = {}
-    # lint-allow: RA104 (set/bitset oracle arms only — the CSR kernel takes the csr.backward branch before reaching this rebuild)
+    # lint-allow: RA104 (reference arm only — the CSR kernel takes the csr.backward branch before reaching this rebuild)
     for edge in db.edges:
         reverse.setdefault(edge.target, {}).setdefault(edge.label, []).append(edge.source)
     return reverse
 
 
 # ---------------------------------------------------------------------------
-# Set-based kernel (seed behaviour, kept as the A/B oracle)
+# Set-based kernel (the seed behaviour, kept as the reference arm)
 # ---------------------------------------------------------------------------
 
 
@@ -585,46 +459,36 @@ def product_search(
     Returns a mapping from database node to the set of NFA states reachable
     while walking a common label sequence.
     """
-    if not _BITSET_KERNEL.get():
+    if not csr_kernel_enabled():
         return _product_search_sets(
             db.labelled_successors, db.nodes.__contains__, nfa, source
         )
     tables = _shared_tables(db, nfa)
-    if csr_kernel_enabled():
-        csr = _shared_csr(db)
-        source_id = csr.node_id.get(source)
-        if source_id is None:
-            return {}
-        id_masks = _product_search_csr(csr.forward, tables, source_id)
-        nodes = csr.nodes
-        return {nodes[node]: set(_iter_bits(mask)) for node, mask in id_masks.items()}
-    masks = _product_search_masks(
-        db.labelled_successors, db.nodes.__contains__, tables, source
-    )
-    return {node: set(_iter_bits(mask)) for node, mask in masks.items()}
+    csr = _shared_csr(db)
+    source_id = csr.node_id.get(source)
+    if source_id is None:
+        return {}
+    id_masks = _product_search_csr(csr.forward, tables, source_id)
+    nodes = csr.nodes
+    return {nodes[node]: set(_iter_bits(mask)) for node, mask in id_masks.items()}
 
 
 def reachable_from(db: GraphDatabase, nfa: NFA, source: Node) -> Set[Node]:
     """Nodes reachable from ``source`` via a path labelled by a word of ``L(nfa)``."""
-    if not _BITSET_KERNEL.get():
+    if not csr_kernel_enabled():
         reached = _product_search_sets(
             db.labelled_successors, db.nodes.__contains__, nfa, source
         )
         return {node for node, states in reached.items() if states & nfa.accepting}
     tables = _shared_tables(db, nfa)
     accepting_mask = tables.accepting_mask
-    if csr_kernel_enabled():
-        csr = _shared_csr(db)
-        source_id = csr.node_id.get(source)
-        if source_id is None:
-            return set()
-        id_masks = _product_search_csr(csr.forward, tables, source_id)
-        nodes = csr.nodes
-        return {nodes[node] for node, mask in id_masks.items() if mask & accepting_mask}
-    masks = _product_search_masks(
-        db.labelled_successors, db.nodes.__contains__, tables, source
-    )
-    return {node for node, mask in masks.items() if mask & accepting_mask}
+    csr = _shared_csr(db)
+    source_id = csr.node_id.get(source)
+    if source_id is None:
+        return set()
+    id_masks = _product_search_csr(csr.forward, tables, source_id)
+    nodes = csr.nodes
+    return {nodes[node] for node, mask in id_masks.items() if mask & accepting_mask}
 
 
 def reachable_to(db: GraphDatabase, nfa: NFA, target: Node) -> Set[Node]:
@@ -636,30 +500,24 @@ def reachable_to(db: GraphDatabase, nfa: NFA, target: Node) -> Set[Node]:
     """
     if target not in db.nodes:
         return set()
-    if csr_kernel_enabled():
-        # The reversed adjacency comes from the per-version CSR snapshot —
-        # built once and shared with every other backward search instead of
-        # re-indexing the whole edge list per call.
-        csr = _shared_csr(db)
-        tables = _shared_tables(db, nfa, reverse=True)
-        id_masks = _product_search_csr(csr.backward, tables, csr.node_id[target])
-        accepting_mask = tables.accepting_mask
-        nodes = csr.nodes
-        return {nodes[node] for node, mask in id_masks.items() if mask & accepting_mask}
-    reverse = _reverse_adjacency(db)
-    adjacency_of = lambda node: reverse.get(node, {})  # noqa: E731
-    if not _BITSET_KERNEL.get():
+    if not csr_kernel_enabled():
+        reverse = _reverse_adjacency(db)
         reversed_nfa = nfa.reverse()
         reached = _product_search_sets(
-            adjacency_of, db.nodes.__contains__, reversed_nfa, target
+            lambda node: reverse.get(node, {}), db.nodes.__contains__, reversed_nfa, target
         )
         return {
             node for node, states in reached.items() if states & reversed_nfa.accepting
         }
+    # The reversed adjacency comes from the per-version CSR snapshot — built
+    # once and shared with every other backward search instead of
+    # re-indexing the whole edge list per call.
+    csr = _shared_csr(db)
     tables = _shared_tables(db, nfa, reverse=True)
-    masks = _product_search_masks(adjacency_of, db.nodes.__contains__, tables, target)
+    id_masks = _product_search_csr(csr.backward, tables, csr.node_id[target])
     accepting_mask = tables.accepting_mask
-    return {node for node, mask in masks.items() if mask & accepting_mask}
+    nodes = csr.nodes
+    return {nodes[node] for node, mask in id_masks.items() if mask & accepting_mask}
 
 
 def reachable_pairs(
@@ -671,15 +529,16 @@ def reachable_pairs(
     """All pairs ``(u, v)`` connected by a path labelled by a word of ``L(nfa)``.
 
     Implemented as a *single* multi-source BFS over the product graph; with
-    the bitset kernel the per-product-state source sets are int bitmasks, so
+    the CSR kernel the per-product-state source sets are int bitmasks, so
     propagation is bulk integer arithmetic.  Nodes outside the database are
     ignored (they have no paths, not even the trivial empty one).
 
     ``sources`` and ``targets`` optionally restrict the first/second pair
     component.  When ``targets`` is given and is much smaller than the
-    candidate source set (ratio :data:`BACKWARD_SEARCH_RATIO`), the search
-    runs **backward** from the targets over the reversed product graph,
-    which costs ``O(|D| · |M|)`` per *target* instead of per source.
+    candidate source set (ratio :data:`BACKWARD_SEARCH_RATIO`), the CSR
+    kernel runs the search **backward** from the targets over the reversed
+    product graph, which costs ``O(|D| · |M|)`` per *target* instead of per
+    source.  The reference arm always searches forward and filters.
     """
     # The sorted all-nodes list is only materialised when a forward search
     # actually needs candidate sources; the backward branch just needs the
@@ -702,44 +561,42 @@ def reachable_pairs(
             return set()
     if not source_count:
         return set()
-    if (
-        _BITSET_KERNEL.get()
-        and target_list is not None
-        and len(target_list) * BACKWARD_SEARCH_RATIO <= source_count
-    ):
+    if not csr_kernel_enabled():
+        if source_list is None:
+            source_list = sorted(db.nodes, key=repr)
+        pairs = _reachable_pairs_sets(db, nfa, source_list)
+    elif target_list is not None and len(target_list) * BACKWARD_SEARCH_RATIO <= source_count:
         pairs = _backward_reachable_pairs(db, nfa, target_list)
         if source_list is not None:
             allowed = set(source_list)
             return {pair for pair in pairs if pair[0] in allowed}
         return pairs
-    if source_list is None and not csr_kernel_enabled():
-        source_list = sorted(db.nodes, key=repr)
-    if not _BITSET_KERNEL.get():
-        pairs = _reachable_pairs_sets(db, nfa, source_list)
-    elif csr_kernel_enabled():
+    else:
         csr = _shared_csr(db)
-        if source_list is None:
-            source_ids: List[int] = list(range(csr.num_nodes))
-        else:
-            # Duplicate candidates collapse onto one dense id each.
-            seen_ids: Set[int] = set()
-            source_ids = []
-            for source in source_list:
-                source_id = csr.node_id[source]
-                if source_id not in seen_ids:
-                    seen_ids.add(source_id)
-                    source_ids.append(source_id)
         tables = _shared_tables(db, nfa)
-        id_pairs = _reachable_pairs_csr(csr.forward, tables, source_ids)
+        id_pairs = _reachable_pairs_csr(
+            csr.forward, tables, _dense_ids(csr, source_list)
+        )
         nodes = csr.nodes
         pairs = {(nodes[source_id], nodes[node]) for source_id, node in id_pairs}
-    else:
-        tables = _shared_tables(db, nfa)
-        pairs = _reachable_pairs_bitset(db.labelled_successors, tables, source_list)
     if target_list is not None:
         allowed = set(target_list)
         pairs = {pair for pair in pairs if pair[1] in allowed}
     return pairs
+
+
+def _dense_ids(csr: CsrAdjacency, candidates: Optional[Sequence[Node]]) -> List[int]:
+    """The dense ids of ``candidates`` (all nodes for ``None``), deduplicated."""
+    if candidates is None:
+        return list(range(csr.num_nodes))
+    seen_ids: Set[int] = set()
+    ids: List[int] = []
+    for node in candidates:
+        node_id = csr.node_id[node]
+        if node_id not in seen_ids:
+            seen_ids.add(node_id)
+            ids.append(node_id)
+    return ids
 
 
 def _backward_reachable_pairs(
@@ -752,26 +609,13 @@ def _backward_reachable_pairs(
     A pair ``(u, t)`` is connected by a word of ``L(nfa)`` iff ``u`` is
     reached from ``t`` in the reversed database by the reversed word, which
     the reversed NFA accepts — so the forward kernel applies verbatim to the
-    reversed structures, with the pair components swapped on the way out.
+    reversed CSR arrays, with the pair components swapped on the way out.
     """
     tables = _shared_tables(db, nfa, reverse=True)
-    if csr_kernel_enabled():
-        csr = _shared_csr(db)
-        target_ids = []
-        seen_ids: Set[int] = set()
-        for target in target_list:
-            target_id = csr.node_id[target]
-            if target_id not in seen_ids:
-                seen_ids.add(target_id)
-                target_ids.append(target_id)
-        swapped_ids = _reachable_pairs_csr(csr.backward, tables, target_ids)
-        nodes = csr.nodes
-        return {(nodes[source], nodes[target]) for target, source in swapped_ids}
-    reverse = _reverse_adjacency(db)
-    swapped = _reachable_pairs_bitset(
-        lambda node: reverse.get(node, {}), tables, list(target_list)
-    )
-    return {(source, target) for target, source in swapped}
+    csr = _shared_csr(db)
+    swapped_ids = _reachable_pairs_csr(csr.backward, tables, _dense_ids(csr, target_list))
+    nodes = csr.nodes
+    return {(nodes[source], nodes[target]) for target, source in swapped_ids}
 
 
 def evaluate_rpq(
@@ -848,8 +692,10 @@ def db_nfa_between(db: GraphDatabase, source: Node, targets: Iterable[Node]) -> 
     """Interpret the database as an NFA with start ``source`` and finals ``targets``.
 
     This is the observation of Section 2.2 that NFAs are just graph databases
-    with designated states; it is used by the synchronisation checks of the
-    CXRPQ evaluation algorithms.
+    with designated states.  It rebuilds the whole transition table per call;
+    the evaluation algorithms use the shared
+    :class:`~repro.graphdb.cache.DatabaseAutomatonView` instead, and this
+    construction stays as its independent oracle.
     """
     nfa = NFA()
     mapping: Dict[Node, int] = {}
@@ -861,7 +707,7 @@ def db_nfa_between(db: GraphDatabase, source: Node, targets: Iterable[Node]) -> 
 
     if source in db.nodes:
         mapping[source] = nfa.start
-    # lint-allow: RA104 (caching-disabled fallback of DatabaseAutomatonView.between; the cached view serves the hot path)
+    # lint-allow: RA104 (the test oracle of DatabaseAutomatonView.between; no evaluation path builds it)
     for edge in db.edges:
         nfa.add_transition(state_of(edge.source), edge.label, state_of(edge.target))
     for target in targets:

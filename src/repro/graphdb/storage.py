@@ -77,12 +77,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.core.alphabet import Alphabet
 from repro.core.errors import AlphabetError
-from repro.graphdb.cache import (
-    caching_enabled,
-    preload_csr,
-    preload_statistics,
-    reachability_index,
-)
+from repro.graphdb.cache import preload_csr, preload_statistics, reachability_index
 from repro.graphdb.database import Edge, GraphDatabase, Node
 from repro.graphdb.delta import DeltaFormatError, EdgeDelta, Triple, overlay_csr
 from repro.graphdb.io import SNAPSHOT_MAGIC, GraphFormatError
@@ -495,9 +490,7 @@ def _csr_of(db: GraphDatabase) -> CsrAdjacency:
     """The CSR arrays to serialise — shared with the cache layer when warm."""
     if isinstance(db, SnapshotDatabase) and db.snapshot_csr.version == db.version:
         return db.snapshot_csr
-    if caching_enabled():
-        return reachability_index(db).csr()
-    return CsrAdjacency(db)
+    return reachability_index(db).csr()
 
 
 def dump_snapshot_bytes(

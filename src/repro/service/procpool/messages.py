@@ -108,9 +108,9 @@ class WorkerStats:
     """Worker → supervisor: the final telemetry of a graceful shutdown.
 
     ``cache`` is the worker's whole-process ``cache_stats()`` report.  A
-    worker always sends it, also when it loaded no shard (under the
-    default ``spawn`` start that is the all-zero report), so the
-    supervisor holds one block per worker process.
+    worker always sends it, also when it loaded no shard (a spawned
+    process starts with no indexes, so that is the all-zero report), so
+    the supervisor holds one block per worker process.
     """
 
     worker_id: int

@@ -66,7 +66,6 @@ class ProcessEvaluationPool:
         workers: int = 2,
         lease_s: float = 30.0,
         restart_budget: Optional[int] = None,
-        start_method: str = "spawn",
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -79,7 +78,6 @@ class ProcessEvaluationPool:
             on_failed=self._on_failed,
             lease_s=lease_s,
             restart_budget=restart_budget,
-            start_method=start_method,
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_task: Optional["asyncio.Task[None]"] = None

@@ -85,7 +85,6 @@ class ProcessPoolSupervisor:
         on_failed: Callable[[ItemId, str], None],
         lease_s: float = 30.0,
         restart_budget: Optional[int] = None,
-        start_method: str = "spawn",
         poll_interval_s: float = 0.05,
     ) -> None:
         if workers < 1:
@@ -99,7 +98,9 @@ class ProcessPoolSupervisor:
         if self._restart_budget < 0:
             raise ValueError("restart_budget must be non-negative")
         self._poll_interval_s = poll_interval_s
-        self._ctx = multiprocessing.get_context(start_method)
+        # Always spawn: a forked worker would inherit the parent's cache
+        # registry and report the parent's counters as its own.
+        self._ctx = multiprocessing.get_context("spawn")
         self.claims = ClaimQueue(lease_s=lease_s)
         self._notify_recv, self._notify_send = self._ctx.Pipe(duplex=False)
         # Re-entrant: _spawn() takes the lock itself and is also called from

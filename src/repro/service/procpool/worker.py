@@ -103,7 +103,7 @@ def _execute(
 
 
 def worker_main(worker_id: int, conn: Connection) -> None:
-    """The pull loop of one worker process (spawn/fork entry point)."""
+    """The pull loop of one worker process (the spawned process's target)."""
     databases: Dict[str, GraphDatabase] = {}
     evaluations = 0
     errors = 0

@@ -54,7 +54,6 @@ class QueryService:
         pool: str = "thread",
         lease_s: float = 30.0,
         restart_budget: Optional[int] = None,
-        start_method: str = "spawn",
         alphabet: Optional[Alphabet] = None,
     ):
         if pool not in ("thread", "process"):
@@ -68,7 +67,6 @@ class QueryService:
         self._concurrency = concurrency
         self._lease_s = lease_s
         self._restart_budget = restart_budget
-        self._start_method = start_method
         self._broker: Optional[QueryBroker] = None
         self._pool: Optional[Union[EvaluationWorkerPool, ProcessEvaluationPool]] = None
         self._running = False
@@ -103,7 +101,6 @@ class QueryService:
                 workers=self._concurrency,
                 lease_s=self._lease_s,
                 restart_budget=self._restart_budget,
-                start_method=self._start_method,
             )
         else:
             self._pool = EvaluationWorkerPool(

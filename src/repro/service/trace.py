@@ -12,8 +12,9 @@ serve loop started), the shard that answered it, and the answer itself::
 :class:`~repro.service.service.QueryService` (thread or process tier),
 honouring the original inter-arrival timing (``--speedup F`` divides every
 offset by ``F``), verifying each replayed answer against the recorded one,
-and reporting the latency distribution — p50/p95/p99 of total latency,
-queue wait, and throughput — through :class:`LatencyReport`.
+and reporting the latency distribution — p50/p95/p99 of the latency from
+each record's scheduled arrival, queue wait, and throughput — through
+:class:`LatencyReport`.
 
 Records are written at *completion* time (answers arrive out of order), so
 the file order is completion order; :func:`load_trace` re-sorts by arrival
@@ -190,12 +191,16 @@ class ReplayedRequest:
     """One replayed record with its fresh envelope and verification verdict.
 
     ``matched`` is ``None`` when the record carried no recorded answer to
-    verify against.
+    verify against.  ``latency_s`` runs from the record's *scheduled*
+    arrival to its completion, so a pacing loop that falls behind its
+    schedule shows in the latency, not only in the envelope's ``total_s``
+    (which starts at the late submission).
     """
 
     record: TraceRecord
     result: ServiceResult
     matched: Optional[bool]
+    latency_s: float
 
 
 async def replay(
@@ -208,29 +213,41 @@ async def replay(
 
     Each request is submitted when the wall clock reaches its compressed
     arrival offset (backpressure, not load-shedding, on queue pressure —
-    a replay must preserve the request set).  Returns the replayed
-    requests in offset order plus the replay wall-clock in seconds.
+    a replay must preserve the request set).  Completions are stamped on
+    the loop clock, and each request's latency is measured from its
+    scheduled arrival.  Returns the replayed requests in offset order plus
+    the replay wall-clock in seconds.
     """
     offsets = scheduled_offsets(records, speedup)
     loop = asyncio.get_running_loop()
     started = loop.time()
-    tasks: List["asyncio.Task[ServiceResult]"] = []
+
+    async def submit(record: TraceRecord) -> Tuple[ServiceResult, float]:
+        result = await service.submit(record.request, overflow="wait")
+        return result, loop.time()
+
+    tasks: List["asyncio.Task[Tuple[ServiceResult, float]]"] = []
     for record, offset in zip(records, offsets):
         delay = offset - (loop.time() - started)
         if delay > 0:
             # lint-allow: RA101 (asyncio.sleep yields the loop rather than blocking it; honouring the recorded arrival pacing is the point of replay)
             await asyncio.sleep(delay)
-        tasks.append(
-            asyncio.create_task(service.submit(record.request, overflow="wait"))
-        )
-    results = await asyncio.gather(*tasks)
+        tasks.append(asyncio.create_task(submit(record)))
+    completions = await asyncio.gather(*tasks)
     wall_s = loop.time() - started
     replayed = []
-    for record, result in zip(records, results):
+    for record, offset, (result, finished) in zip(records, offsets, completions):
         matched: Optional[bool] = None
         if record.answer is not None:
             matched = answer_payload(result) == record.answer
-        replayed.append(ReplayedRequest(record=record, result=result, matched=matched))
+        replayed.append(
+            ReplayedRequest(
+                record=record,
+                result=result,
+                matched=matched,
+                latency_s=finished - (started + offset),
+            )
+        )
     return replayed, wall_s
 
 
@@ -249,10 +266,11 @@ def percentile(samples: Sequence[float], q: float) -> float:
 class LatencyReport:
     """The latency-distribution summary of one replay (or served stream).
 
-    All latencies in seconds: ``latency_*`` summarise per-request total
-    latency (submission to envelope), ``queue_wait_*`` the admission-to-
-    evaluation wait.  ``matched``/``mismatched`` count verification against
-    recorded answers (both 0 when the trace carried none).
+    All latencies in seconds: ``latency_*`` summarise per-request latency
+    from the scheduled arrival to the completion (so the pacing loop's own
+    lateness counts), ``queue_wait_*`` the admission-to-evaluation wait.
+    ``matched``/``mismatched`` count verification against recorded answers
+    (both 0 when the trace carried none).
     """
 
     requests: int
@@ -277,7 +295,7 @@ class LatencyReport:
     ) -> "LatencyReport":
         if not replayed:
             raise ValueError("cannot summarise an empty replay")
-        latencies = [item.result.total_s for item in replayed]
+        latencies = [item.latency_s for item in replayed]
         waits = [item.result.queue_wait_s for item in replayed]
         return cls(
             requests=len(replayed),

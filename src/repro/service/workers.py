@@ -14,8 +14,8 @@ keep the kernel's caches both *hot* and *safe*:
   shards concurrently, but one shard is never raced.
 
 CPU-bound kernel calls are dispatched through ``asyncio.to_thread`` (which
-copies the caller's :mod:`contextvars` context, so kernel A/B toggles like
-``csr_kernel_disabled`` propagate into the worker thread); the event loop
+copies the caller's :mod:`contextvars` context, so the reference-arm switch
+``csr_kernel_disabled`` propagates into the worker thread); the event loop
 stays responsive for admission and telemetry while a batch crunches.
 ``use_threads=False`` runs batches inline on the loop — useful for
 deterministic tests and micro-benchmarks.

@@ -8,10 +8,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import Alphabet
 from repro.automata.nfa import NFA
-from repro.engine.planner import planner_v2_disabled
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import random_graph, scale_free_graph
-from repro.graphdb.paths import bitset_kernel_disabled, csr_kernel_disabled
+from repro.graphdb.paths import csr_kernel_disabled
 from repro.graphdb.storage import dump_snapshot_bytes, load_snapshot_bytes
 from repro.regex import syntax as rx
 from repro.regex.parser import parse_xregex
@@ -23,9 +22,9 @@ ABC = Alphabet("abc")
 # -- kernel cross-validation fixtures -----------------------------------------
 #
 # One pool of regular expressions and database shapes shared by every
-# per-kernel equivalence suite (bitset, CSR, differential): the kernels must
-# be pinned to each other on the *same* inputs, or a drift could hide in the
-# gap between two ad-hoc pools.
+# equivalence suite (set kernel, CSR, differential): the production kernel
+# and the reference arm must be pinned to each other on the *same* inputs,
+# or a drift could hide in the gap between two ad-hoc pools.
 
 #: Regular expressions exercised against every kernel arm.
 REGEX_POOL = [
@@ -51,20 +50,12 @@ DB_SHAPES = [
     ("hot-key-skew", 16, 44),
 ]
 
-#: Every kernel arm as ``(name, context-manager factory)``: the default CSR
-#: kernel, the second-generation bitset kernel, and the seed set kernel.
+#: Both kernel arms as ``(name, context-manager factory)``: production (the
+#: CSR kernel, lazy relations, bitmask synchronisation products) and the
+#: reference arm (set-based BFS, eager relations, direct ``intersect_all``).
 KERNEL_ARMS = [
     ("csr", nullcontext),
-    ("bitset", csr_kernel_disabled),
-    ("sets", bitset_kernel_disabled),
-]
-
-#: The planner axis of the differential harness: the cost-based v2 planner
-#: (default) against the heuristic v1 oracle.  Plans may differ, answers
-#: may not.
-PLANNER_ARMS = [
-    ("planner-v2", nullcontext),
-    ("planner-v1", planner_v2_disabled),
+    ("reference", csr_kernel_disabled),
 ]
 
 

@@ -1,49 +1,33 @@
-"""Property-style equivalence tests for the bitset BFS kernel.
+"""Property-style equivalence tests of the production kernel's searches.
 
-The set-based kernel (the seed implementation, kept behind
-``bitset_kernel_disabled``) serves as the oracle: on random databases from
-:mod:`repro.graphdb.generators` and a pool of regular expressions, the
-bitset forward kernel, the backward (reversed-product) kernel and the
-single-source product search must produce identical answers.  A second
-group of tests checks that LRU eviction in the cache layer never changes
-query answers.
+The set-based kernel (the seed implementation, kept as the reference arm
+behind ``csr_kernel_disabled``) serves as the oracle: on random databases
+from :mod:`repro.graphdb.generators` and a pool of regular expressions, the
+production forward kernel, its backward (reversed-product) search and the
+single-source product search must produce identical answers.
 """
 
 import pytest
 
-from repro.engine.vsf import evaluate_vsf
-from repro.graphdb.cache import cache_capacity, invalidate_cache, reachability_index
 from repro.graphdb.generators import random_graph
 from repro.graphdb.paths import (
-    bitset_kernel_disabled,
-    bitset_kernel_enabled,
+    csr_kernel_disabled,
     product_search,
     reachable_from,
     reachable_pairs,
     reachable_to,
 )
-from repro.workloads import vsf_scaling_query
 
-from helpers import ABC, REGEX_POOL, compiled, databases
+from helpers import ABC, KERNEL_ARMS, REGEX_POOL, compiled, databases
 
 
 class TestKernelEquivalence:
-    def test_toggle_is_context_local(self):
-        assert bitset_kernel_enabled()
-        with bitset_kernel_disabled():
-            assert not bitset_kernel_enabled()
-            with bitset_kernel_disabled():
-                assert not bitset_kernel_enabled()
-            # Leaving the inner context must not re-enable the kernel.
-            assert not bitset_kernel_enabled()
-        assert bitset_kernel_enabled()
-
     @pytest.mark.parametrize("pattern", REGEX_POOL)
     def test_reachable_pairs_matches_set_kernel(self, pattern):
         nfa = compiled(pattern)
         for db in databases():
             fast = reachable_pairs(db, nfa)
-            with bitset_kernel_disabled():
+            with csr_kernel_disabled():
                 oracle = reachable_pairs(db, nfa)
             assert fast == oracle
 
@@ -53,11 +37,11 @@ class TestKernelEquivalence:
         for db in databases():
             for source in list(sorted(db.nodes, key=repr))[:5] + ["ghost"]:
                 fast = product_search(db, nfa, source)
-                with bitset_kernel_disabled():
+                with csr_kernel_disabled():
                     oracle = product_search(db, nfa, source)
                 assert fast == oracle
                 fast_from = reachable_from(db, nfa, source)
-                with bitset_kernel_disabled():
+                with csr_kernel_disabled():
                     oracle_from = reachable_from(db, nfa, source)
                 assert fast_from == oracle_from
 
@@ -65,19 +49,19 @@ class TestKernelEquivalence:
     def test_backward_search_matches_forward(self, pattern):
         nfa = compiled(pattern)
         for db in databases():
-            full = reachable_pairs(db, nfa)
+            with csr_kernel_disabled():
+                full = reachable_pairs(db, nfa)
             nodes = sorted(db.nodes, key=repr)
-            # A single target out of many sources selects the backward
-            # kernel (|targets| * ratio <= |sources|).
+            # A single target out of many sources selects the production
+            # backward kernel (|targets| * ratio <= |sources|); the reference
+            # arm answers the same restriction by a forward search.
             for target in nodes[:4]:
-                restricted = reachable_pairs(db, nfa, targets=[target])
-                assert restricted == {pair for pair in full if pair[1] == target}
-                assert reachable_to(db, nfa, target) == {
-                    source for source, t in full if t == target
-                }
-                with bitset_kernel_disabled():
-                    oracle_to = reachable_to(db, nfa, target)
-                assert oracle_to == {source for source, t in full if t == target}
+                expected_sources = {source for source, t in full if t == target}
+                for _name, arm in KERNEL_ARMS:
+                    with arm():
+                        restricted = reachable_pairs(db, nfa, targets=[target])
+                        assert restricted == {pair for pair in full if pair[1] == target}
+                        assert reachable_to(db, nfa, target) == expected_sources
 
     def test_backward_search_respects_explicit_sources(self):
         nfa = compiled("a+b")
@@ -85,50 +69,19 @@ class TestKernelEquivalence:
             nodes = sorted(db.nodes, key=repr)
             sources = nodes[: len(nodes) // 2]
             target = nodes[-1]
-            full = reachable_pairs(db, nfa)
-            restricted = reachable_pairs(db, nfa, sources=sources, targets=[target])
-            assert restricted == {
-                (u, v) for u, v in full if u in set(sources) and v == target
-            }
+            with csr_kernel_disabled():
+                full = reachable_pairs(db, nfa)
+            expected = {(u, v) for u, v in full if u in set(sources) and v == target}
+            for _name, arm in KERNEL_ARMS:
+                with arm():
+                    restricted = reachable_pairs(db, nfa, sources=sources, targets=[target])
+                assert restricted == expected
 
     def test_ghost_endpoints_are_ignored(self):
         db = random_graph(8, 20, ABC, seed=3)
         nfa = compiled("a*")
-        assert reachable_pairs(db, nfa, sources=["ghost"]) == set()
-        assert reachable_pairs(db, nfa, targets=["ghost"]) == set()
-        assert reachable_to(db, nfa, "ghost") == set()
-
-
-class TestLruInvariance:
-    def test_eviction_never_changes_answers(self):
-        query = vsf_scaling_query()
-        db = random_graph(14, 35, ABC, seed=11)
-        reference = evaluate_vsf(query, db)
-        invalidate_cache(db)
-        with cache_capacity(2):
-            index = reachability_index(db)
-            assert index.capacity == 2
-            constrained = evaluate_vsf(query, db)
-            assert constrained.tuples == reference.tuples
-            assert index.evictions > 0, "the workload must exceed the LRU cap"
-        invalidate_cache(db)
-
-    def test_evicted_entries_are_recomputed_correctly(self):
-        db = random_graph(10, 25, ABC, seed=5)
-        patterns = [compiled(pattern) for pattern in REGEX_POOL]
-        expected = [reachable_pairs(db, nfa) for nfa in patterns]
-        # The oracle runs above went through the shared index (the CSR
-        # kernel memoises its adjacency snapshot there); drop it so the
-        # capped index below is the one the registry hands out.
-        invalidate_cache(db)
-        with cache_capacity(3):
-            index = reachability_index(db)
-            # Two passes over more fingerprints than the cap: the second
-            # pass re-misses evicted entries but the answers are identical.
-            for _round in range(2):
-                for nfa, pairs in zip(patterns, expected):
-                    assert index.reachable_pairs(nfa) == pairs
-            assert index.evictions > 0
-            stats = index.stats()
-            assert stats["pairs"]["entries"] <= 3
-        invalidate_cache(db)
+        for _name, arm in KERNEL_ARMS:
+            with arm():
+                assert reachable_pairs(db, nfa, sources=["ghost"]) == set()
+                assert reachable_pairs(db, nfa, targets=["ghost"]) == set()
+                assert reachable_to(db, nfa, "ghost") == set()

@@ -1,19 +1,25 @@
-"""Property-style tests for the third-generation (CSR + lazy) kernel.
+"""Property-style tests for the production kernel (CSR + lazy relations).
 
-The second-generation bitset kernel (behind ``csr_kernel_disabled``) and the
-seed set-based kernel (behind ``bitset_kernel_disabled``) serve as oracles:
-on random databases and a pool of regular expressions the CSR searches, the
-lazy relations, the bitmask product tracks and the worklist semi-join must
-produce identical answers — including duplicate candidate lists and
-target-bound (backward) queries.
+The seed set-based kernel, kept as the reference arm behind
+``csr_kernel_disabled``, serves as the oracle: on random databases and a
+pool of regular expressions the CSR searches, the lazy relations and the
+worklist semi-join must produce identical answers — including duplicate
+candidate lists and target-bound (backward) queries.  The bitmask
+synchronisation product is checked against the direct Lemma 3
+construction, ``intersect_all`` over the DB-as-NFA views.
 """
 
+import gc
 import random
+import tracemalloc
+from contextlib import nullcontext
 
 import pytest
 
-from repro.automata.nfa import NFA
+from repro.automata.nfa import NFA, intersect_all
+from repro.engine.crpq import crpq_check, edge_relations
 from repro.engine.joins import EdgeRelation, semijoin_reduce
+from repro.engine.planner import planner_stats, reset_planner_stats
 from repro.graphdb.cache import (
     LazyRelation,
     SynchronisationProduct,
@@ -24,20 +30,22 @@ from repro.graphdb.cache import (
 from repro.graphdb.generators import random_graph
 from repro.graphdb.paths import (
     CsrAdjacency,
-    bitset_kernel_disabled,
     csr_kernel_disabled,
     csr_kernel_enabled,
+    db_nfa_between,
     product_search,
     reachable_from,
     reachable_pairs,
     reachable_to,
 )
+from repro.queries.crpq import CRPQ
+from repro.workloads import random_workload
 
 from helpers import ABC, REGEX_POOL, compiled, databases
 
 
 class TestCsrToggle:
-    def test_toggle_is_context_local_and_implies_bitset(self):
+    def test_toggle_is_context_local(self):
         assert csr_kernel_enabled()
         with csr_kernel_disabled():
             assert not csr_kernel_enabled()
@@ -45,9 +53,6 @@ class TestCsrToggle:
                 assert not csr_kernel_enabled()
             assert not csr_kernel_enabled()
         assert csr_kernel_enabled()
-        # The CSR kernel builds on the bitset representation.
-        with bitset_kernel_disabled():
-            assert not csr_kernel_enabled()
 
 
 class TestCsrAdjacency:
@@ -78,17 +83,6 @@ class TestCsrAdjacency:
 
 
 class TestCsrSearchEquivalence:
-    @pytest.mark.parametrize("pattern", REGEX_POOL)
-    def test_reachable_pairs_matches_bitset_and_set_kernels(self, pattern):
-        nfa = compiled(pattern)
-        for db in databases():
-            fast = reachable_pairs(db, nfa)
-            with csr_kernel_disabled():
-                bitset = reachable_pairs(db, nfa)
-            with bitset_kernel_disabled():
-                oracle = reachable_pairs(db, nfa)
-            assert fast == bitset == oracle
-
     @pytest.mark.parametrize("pattern", ["a*", "a+b", "(a|b)+", "(ab)+"])
     def test_single_source_matches_oracles(self, pattern):
         nfa = compiled(pattern)
@@ -123,7 +117,7 @@ class TestCsrSearchEquivalence:
 
 class TestLazyRelation:
     def oracle_pairs(self, db, nfa):
-        with bitset_kernel_disabled():
+        with csr_kernel_disabled():
             return reachable_pairs(db, nfa)
 
     @pytest.mark.parametrize("pattern", ["a*", "(a|b)+", "a+b", "(a|bc)*"])
@@ -178,6 +172,51 @@ class TestLazyRelation:
         invalidate_cache(db)
 
 
+class TestDenseCheckMemory:
+    """Lazy relations keep a dense Check problem far below the eager peak.
+
+    The edge languages are near-universal, so their relations on a
+    connected random database are ~n² pairs.  The Check problem binds both
+    output endpoints, so production answers from a few per-source and
+    per-target rows (the target-bound edge runs the backward search) while
+    the reference arm materialises both pair sets.
+    """
+
+    QUERY = CRPQ(
+        [("x", "(a|b|c)*", "y"), ("y", "(a|b)*c*", "z")],
+        output_variables=("x", "z"),
+    )
+
+    def peak(self, db, arm, check):
+        invalidate_cache(db)
+        reset_planner_stats()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with arm():
+                answer = crpq_check(self.QUERY, db, check)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return answer, peak
+
+    def test_lazy_peak_is_at_least_4x_below_eager(self):
+        db = random_workload(60, alphabet_symbols="abc", edge_factor=3.0, seed=13)
+        names = sorted(db.nodes, key=repr)
+        check = (names[0], names[-1])
+        lazy_answer, lazy_peak = self.peak(db, nullcontext, check)
+        relations, _nfas = edge_relations(self.QUERY, db)
+        assert all(isinstance(relation, LazyRelation) for relation in relations)
+        assert not any(relation.materialised for relation in relations)
+        assert planner_stats()["forced_pairs"] == 0
+        eager_answer, eager_peak = self.peak(db, csr_kernel_disabled, check)
+        invalidate_cache(db)
+        assert lazy_answer == eager_answer
+        assert eager_peak >= 4 * lazy_peak, (
+            f"lazy peak {lazy_peak} B is not 4x below eager {eager_peak} B"
+        )
+
+
 class TestReverseAdjacencyMemo:
     def test_backward_queries_build_the_reversed_index_once(self):
         # Regression: ``reachable_to``/``reachable_pairs(targets=…)`` used
@@ -209,18 +248,24 @@ class TestBitmaskProductTracks:
             [compiled("(a|b)+"), compiled("a?b+c?")],
         ]
 
-    def test_mask_search_matches_frozenset_search(self):
+    def direct_construction(self, db, units, endpoints):
+        """The reference arm's Lemma 3 product: DB-as-NFA views ∩ units."""
+        automata = []
+        for (source, target), unit in zip(endpoints, units):
+            automata.append(db_nfa_between(db, source, [target]))
+            automata.append(unit)
+        return intersect_all(automata).shortest_word()
+
+    def test_mask_search_matches_intersect_all(self):
         for db in [random_graph(8, 22, ABC, seed=s) for s in (0, 1)]:
             nodes = sorted(db.nodes, key=repr)
             for units in self.unit_pools():
-                mask_product = SynchronisationProduct(db, units)
-                set_product = SynchronisationProduct(db, units)
+                product = SynchronisationProduct(db, units)
                 for s in nodes[:4]:
                     for t in nodes[:4]:
                         endpoints = tuple((s, t) for _ in units)
-                        fast = mask_product.shortest_word(endpoints)
-                        with csr_kernel_disabled():
-                            oracle = set_product.shortest_word(endpoints)
+                        fast = product.shortest_word(endpoints)
+                        oracle = self.direct_construction(db, units, endpoints)
                         if oracle is None:
                             assert fast is None
                             continue
@@ -235,25 +280,6 @@ class TestBitmaskProductTracks:
         db = random_graph(6, 14, ABC, seed=5)
         product = SynchronisationProduct(db, [compiled("a*")])
         assert product.shortest_word((("ghost", sorted(db.nodes, key=repr)[0]),)) is None
-
-    def test_shortest_word_memo_is_keyed_by_kernel_arm(self):
-        # Regression: with a mode-blind memo, toggling the kernel on a warm
-        # product returned the CSR-computed word and the frozenset oracle
-        # never actually ran — A/B comparisons compared the CSR kernel with
-        # itself.
-        db = random_graph(8, 22, ABC, seed=1)
-        product = SynchronisationProduct(db, [compiled("(a|b)+")])
-        nodes = sorted(db.nodes, key=repr)
-        endpoints = ((nodes[0], nodes[-1]),)
-        fast = product.shortest_word(endpoints)
-        assert not product._succ, "the frozenset expansion must not have run yet"
-        with csr_kernel_disabled():
-            oracle = product.shortest_word(endpoints)
-        # The search from present endpoints always expands the start state.
-        assert product._succ, "the frozenset expansion must actually run"
-        assert (fast is None) == (oracle is None)
-        if fast is not None:
-            assert len(fast) == len(oracle)
 
 
 class TestWorklistSemijoin:
@@ -340,7 +366,7 @@ class TestWorklistSemijoin:
                 ]
                 nfas = [compiled(rng.choice(REGEX_POOL)) for _ in range(num_edges)]
                 lazy = [LazyRelation(csr, nfa) for nfa in nfas]
-                with bitset_kernel_disabled():
+                with csr_kernel_disabled():
                     eager = [EdgeRelation(reachable_pairs(db, nfa)) for nfa in nfas]
                 fixed = None
                 if rng.random() < 0.5:

@@ -1,11 +1,12 @@
-"""One differential harness pinning every kernel generation to the others.
+"""One differential harness pinning production to the reference arm.
 
-Four arms evaluate identical workloads on identical inputs:
+Three arms evaluate identical workloads on identical inputs:
 
-* **csr** — the default third-generation kernel,
-* **bitset** — the second generation, behind ``csr_kernel_disabled``,
-* **sets** — the seed kernel, behind ``bitset_kernel_disabled``,
-* **snapshot** — the default kernel on a database round-tripped through the
+* **csr** — production: the CSR kernel, lazy relations, the bitmask
+  synchronisation product and the cost-based planner,
+* **reference** — behind ``csr_kernel_disabled``: the seed's set-based BFS,
+  eager relations and the direct Lemma 3 construction (``intersect_all``),
+* **snapshot** — both arms again on a database round-tripped through the
   binary ``.rgsnap`` format (mmap-style preloaded CSR arrays).
 
 Graphs come from :mod:`repro.graphdb.generators` under a fixed seed and are
@@ -13,15 +14,10 @@ stringified first (the on-disk formats keep node identifiers as strings, so
 all arms see the same node names).  Answers are compared as canonical
 strings — byte-identical, not merely set-equal — and the engine-level cases
 additionally pin the fragment classification and dispatcher verdict.
-The shared pools in ``tests/helpers.py`` replace the per-file copies the
-bitset/CSR suites used to carry, so every equivalence suite draws from the
-same inputs.
-
-The engine-level cases additionally run under a **planner axis**
-(``PLANNER_ARMS``): the cost-based v2 planner against the heuristic v1
-oracle.  Plans may differ — edge order, forced-edge choice, expansion
-direction — but answers may not; caches are invalidated between planner
-arms so each arm genuinely plans from cold relations.
+The shared pools in ``tests/helpers.py`` keep every equivalence suite on
+the same inputs.  Caches are invalidated before each arm, so production
+plans from cold relations; plans may differ between the arms — edge order,
+forced-edge choice, expansion direction — but answers may not.
 """
 
 import random
@@ -30,7 +26,7 @@ from pathlib import Path
 from repro.automata.nfa import NFA
 from repro.core.alphabet import Alphabet
 from repro.engine.engine import _select_cxrpq_engine, evaluate
-from repro.graphdb.cache import cache_stats, invalidate_cache
+from repro.graphdb.cache import cache_stats, invalidate_cache, reachability_index
 from repro.graphdb.generators import (
     cycle_database,
     deep_chain,
@@ -39,14 +35,13 @@ from repro.graphdb.generators import (
     scale_free_graph,
     temporal_layered_graph,
 )
-from repro.graphdb.paths import reachable_pairs
+from repro.graphdb.paths import csr_kernel_disabled, reachable_pairs
 from repro.queries.cxrpq import CXRPQ
 from repro.regex.parser import parse_xregex
 
 from helpers import (
     ABC,
     KERNEL_ARMS,
-    PLANNER_ARMS,
     REGEX_POOL,
     assert_same_database,
     compiled,
@@ -116,7 +111,7 @@ class TestRpqDifferential:
                 signatures["snapshot"] = repr(
                     sorted(reachable_pairs(snapshot, nfa), key=repr)
                 )
-                reference = signatures["sets"]
+                reference = signatures["reference"]
                 for name, signature in signatures.items():
                     assert signature == reference, (
                         f"kernel arm {name!r} diverges on pattern {pattern!r}: "
@@ -147,22 +142,20 @@ class TestEngineDifferential:
                 verdict = _select_cxrpq_engine(query, None)
                 assert verdict is not None
                 signatures = {}
-                for planner_name, planner_arm in PLANNER_ARMS:
-                    # Cold relations per planner arm: a relation the other
-                    # arm already materialised would make the plans moot.
+                for name, arm in KERNEL_ARMS:
+                    # Cold relations per arm: rows the other arm already
+                    # materialised would make the plans moot.
                     invalidate_cache(db)
                     invalidate_cache(snapshot)
-                    with planner_arm():
-                        for name, arm in KERNEL_ARMS:
-                            with arm():
-                                assert _select_cxrpq_engine(query, None) == verdict
-                                signatures[f"{name}/{planner_name}"] = (
-                                    answer_signature(evaluate(query, db), has_output)
-                                )
-                        signatures[f"snapshot/{planner_name}"] = answer_signature(
+                    with arm():
+                        assert _select_cxrpq_engine(query, None) == verdict
+                        signatures[f"memory/{name}"] = answer_signature(
+                            evaluate(query, db), has_output
+                        )
+                        signatures[f"snapshot/{name}"] = answer_signature(
                             evaluate(query, snapshot), has_output
                         )
-                reference = signatures["sets/planner-v2"]
+                reference = signatures["memory/reference"]
                 for name, signature in signatures.items():
                     assert signature == reference, (
                         f"engine arm {name!r} diverges on {template}: "
@@ -170,14 +163,28 @@ class TestEngineDifferential:
                     )
 
 
+    def test_production_keeps_snapshots_unhydrated_on_every_template(self):
+        # Regression: the simple and vstar-free engines built the DB-as-NFA
+        # view on every evaluation, although only the reference arm reads
+        # it; building the view iterates ``db.edges``, which hydrated the
+        # snapshot's per-edge dictionary indexes.
+        for db in case_graphs()[:4]:
+            for template in QUERY_TEMPLATES:
+                snapshot = snapshot_round_trip(db)
+                evaluate(build_query(template), snapshot)
+                assert not snapshot.hydrated, f"{template} hydrated the snapshot"
+                assert reachability_index(snapshot)._view is None, (
+                    f"{template} built the DB-as-NFA view"
+                )
+
+
 class TestDeltaDifferential:
     """The delta arm: base + appended delta segments versus a from-scratch
     rebuild of the mutated graph.
 
     The overlay answers must be **byte-identical** to rebuilding the mutated
-    graph from its edges, across every kernel arm and both planner arms —
-    the overlay is not a new semantics, just a cheaper way to reach the same
-    graph.
+    graph from its edges, on both kernel arms — the overlay is not a new
+    semantics, just a cheaper way to reach the same graph.
     """
 
     def mutated_case(self, db, rng):
@@ -220,19 +227,17 @@ class TestDeltaDifferential:
                 query = build_query(template)
                 has_output = bool(query.output_variables)
                 signatures = {}
-                for planner_name, planner_arm in PLANNER_ARMS:
+                for name, arm in KERNEL_ARMS:
                     invalidate_cache(rebuilt)
                     invalidate_cache(overlay)
-                    with planner_arm():
-                        for name, arm in KERNEL_ARMS:
-                            with arm():
-                                signatures[f"rebuild:{name}/{planner_name}"] = (
-                                    answer_signature(evaluate(query, rebuilt), has_output)
-                                )
-                                signatures[f"overlay:{name}/{planner_name}"] = (
-                                    answer_signature(evaluate(query, overlay), has_output)
-                                )
-                reference = signatures["rebuild:sets/planner-v2"]
+                    with arm():
+                        signatures[f"rebuild:{name}"] = answer_signature(
+                            evaluate(query, rebuilt), has_output
+                        )
+                        signatures[f"overlay:{name}"] = answer_signature(
+                            evaluate(query, overlay), has_output
+                        )
+                reference = signatures["rebuild:reference"]
                 for name, signature in signatures.items():
                     assert signature == reference, (
                         f"delta arm {name!r} diverges on {template}: "
@@ -257,13 +262,15 @@ class TestDeltaDifferential:
 
 
 class TestPlannerDifferential:
-    """The planner axis on all-lazy workloads — where plans actually differ.
+    """All-lazy workloads — where production's planner decisions are live.
 
-    ``QUERY_TEMPLATES`` above runs every kernel arm under both planner arms,
-    but its queries carry string variables and pass through the simple or
-    vstar-free engines too.  The workloads here are pure conjunctions of
-    classical regexes — every relation lazy, every planner decision (edge
-    order, forced materialisation, expansion direction) live.
+    ``QUERY_TEMPLATES`` above carries string variables and passes through
+    the simple or vstar-free engines too.  The workloads here are pure
+    conjunctions of classical regexes: in production every relation is lazy
+    and every planner decision (edge order, forced materialisation,
+    expansion direction) is live, in memory and from ``.rgsnap``.  The
+    eager reference arm makes no lazy-edge decision at all, which is what
+    makes it the oracle.
     """
 
     ALL_LAZY_TEMPLATES = [
@@ -288,21 +295,21 @@ class TestPlannerDifferential:
             for template in self.ALL_LAZY_TEMPLATES:
                 query = build_query(template)
                 has_output = bool(query.output_variables)
-                signatures = {}
-                for planner_name, planner_arm in PLANNER_ARMS:
-                    invalidate_cache(db)
-                    invalidate_cache(snapshot)
-                    with planner_arm():
-                        signatures[f"memory/{planner_name}"] = answer_signature(
-                            evaluate(query, db), has_output
-                        )
-                        signatures[f"snapshot/{planner_name}"] = answer_signature(
-                            evaluate(query, snapshot), has_output
-                        )
-                reference = signatures["memory/planner-v2"]
+                invalidate_cache(db)
+                invalidate_cache(snapshot)
+                signatures = {
+                    "memory/csr": answer_signature(evaluate(query, db), has_output),
+                    "snapshot/csr": answer_signature(evaluate(query, snapshot), has_output),
+                }
+                invalidate_cache(db)
+                with csr_kernel_disabled():
+                    signatures["memory/reference"] = answer_signature(
+                        evaluate(query, db), has_output
+                    )
+                reference = signatures["memory/reference"]
                 for name, signature in signatures.items():
                     assert signature == reference, (
-                        f"planner arm {name!r} diverges on {template}: "
+                        f"arm {name!r} diverges on {template}: "
                         f"{signature} != {reference}"
                     )
                 cases += 1

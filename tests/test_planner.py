@@ -2,13 +2,14 @@
 
 Three angles:
 
-* **unit** — ``_select_edge`` tie-breaking, forced-edge choice and the
-  arm-capture semantics of :class:`JoinPlan`;
-* **property** — planner v1 and v2 produce byte-identical answers on
-  randomized all-lazy components (plans may differ, answers may not);
-* **regression** — on the ``deep_chain`` adversarial family, v2 never
-  materialises a larger forced relation than v1 (pinned through the
-  planner's ``forced_pairs`` telemetry).
+* **unit** — ``_select_edge`` tie-breaking and the forced-edge choice of
+  :class:`JoinPlan`;
+* **property** — the production arm (lazy relations, cost-based plans)
+  and the eager reference arm produce byte-identical answers on randomized
+  all-lazy components (plans may differ, answers may not);
+* **regression** — on the ``deep_chain`` adversarial family the forced
+  materialisation stays at the three marker arcs, whatever the chain
+  length (pinned through the planner's ``forced_pairs`` telemetry).
 """
 
 import random
@@ -17,19 +18,13 @@ import pytest
 
 from repro.engine.engine import evaluate
 from repro.engine.joins import EdgeRelation, _select_edge, join_morphisms, semijoin_reduce
-from repro.engine.planner import (
-    JoinPlan,
-    planner_stats,
-    planner_v2_disabled,
-    planner_v2_enabled,
-    reset_planner_stats,
-)
+from repro.engine.planner import JoinPlan, planner_stats, reset_planner_stats
 from repro.graphdb.cache import invalidate_cache, reachability_index
 from repro.graphdb.generators import deep_chain, random_graph
 from repro.queries.cxrpq import CXRPQ
 from repro.regex.parser import parse_xregex
 
-from helpers import ABC, PLANNER_ARMS, compiled, stringified
+from helpers import ABC, KERNEL_ARMS, compiled, stringified
 
 
 def lazy_relation(db, pattern: str):
@@ -42,27 +37,6 @@ def lazy_relation(db, pattern: str):
 def answer_signature(result, has_output: bool) -> str:
     tuples = sorted(result.tuples, key=repr) if has_output else None
     return repr((result.boolean, tuples, result.exhaustive))
-
-
-class TestSwitch:
-    def test_default_is_v2(self):
-        assert planner_v2_enabled()
-
-    def test_context_manager_nests_and_restores(self):
-        with planner_v2_disabled():
-            assert not planner_v2_enabled()
-            with planner_v2_disabled():
-                assert not planner_v2_enabled()
-            assert not planner_v2_enabled()
-        assert planner_v2_enabled()
-
-    def test_plan_captures_the_arm_at_construction(self):
-        endpoints = [("x", "y")]
-        relations = [EdgeRelation([(1, 2)])]
-        with planner_v2_disabled():
-            plan = JoinPlan(endpoints, relations)
-        assert plan.v2 is False  # sticky: the flag flip after construction is ignored
-        assert JoinPlan(endpoints, relations).v2 is True
 
 
 class TestSelectEdge:
@@ -90,23 +64,15 @@ class TestSelectEdge:
         dense = lazy_relation(db, "b+")
         rare = lazy_relation(db, "c")
         endpoints = [("x", "y"), ("z", "w")]
-        # v2: statistics rank the rare 'c' relation below the hub 'b+' one.
+        # Statistics rank the rare 'c' relation below the hub 'b+' one,
+        # although both size_hint to n².
+        assert dense.size_hint() == rare.size_hint()
         assert _select_edge([0, 1], endpoints, [dense, rare], {}) == 1
-        # v1: both size_hint to n² — the tie breaks on remaining order.
-        with planner_v2_disabled():
-            assert _select_edge([0, 1], endpoints, [dense, rare], {}) == 0
 
 
 class TestForcedEdge:
     def endpoints(self):
         return [("x", "y"), ("y", "z")]
-
-    def test_v1_forces_the_lowest_index(self):
-        db = deep_chain(40)
-        relations = [lazy_relation(db, "b+"), lazy_relation(db, "c")]
-        with planner_v2_disabled():
-            plan = JoinPlan(self.endpoints(), relations)
-            assert plan.forced_edge({0, 1}) == 0
 
     def test_v2_forces_the_estimated_cheapest(self):
         db = deep_chain(40)
@@ -137,7 +103,8 @@ class TestForcedEdge:
 
 
 class TestPlannerEquivalence:
-    """Property tests: v1 and v2 agree byte-for-byte; only the work differs."""
+    """Property tests: the planned production arm and the eager reference
+    arm agree byte-for-byte; only the work differs."""
 
     def all_lazy_queries(self):
         # Every edge is a classical regex (a lazy CSR relation), no fixed
@@ -165,17 +132,16 @@ class TestPlannerEquivalence:
                     output_variables=output,
                 )
                 signatures = {}
-                for name, arm in PLANNER_ARMS:
-                    # A fresh index per arm: materialisation state must not
-                    # leak between arms, or the second would plan over
-                    # already-forced relations.
+                for name, arm in KERNEL_ARMS:
+                    # A fresh index per arm: production must plan from cold
+                    # relations, not over rows another run already forced.
                     invalidate_cache(db)
                     with arm():
                         signatures[name] = answer_signature(
                             evaluate(query, db), bool(output)
                         )
-                assert signatures["planner-v2"] == signatures["planner-v1"], (
-                    f"planner arms diverge on {edges} over {db}"
+                assert signatures["csr"] == signatures["reference"], (
+                    f"kernel arms diverge on {edges} over {db}"
                 )
                 cases += 1
         assert cases >= 20
@@ -184,7 +150,7 @@ class TestPlannerEquivalence:
         db = deep_chain(20)
         endpoints = [("x", "y"), ("y", "z")]
         per_arm = {}
-        for name, arm in PLANNER_ARMS:
+        for name, arm in KERNEL_ARMS:
             invalidate_cache(db)
             with arm():
                 index = reachability_index(db)
@@ -195,29 +161,24 @@ class TestPlannerEquivalence:
                         endpoints, relations, ["x", "y", "z"], list(db.nodes)
                     )
                 )
-        assert per_arm["planner-v2"] == per_arm["planner-v1"]
-        assert per_arm["planner-v2"], "the workload must produce morphisms"
+        assert per_arm["csr"] == per_arm["reference"]
+        assert per_arm["csr"], "the workload must produce morphisms"
 
 
 class TestDeepChainRegression:
     @pytest.mark.parametrize("length", [30, 60, 120])
     def test_v2_never_materialises_more_than_v1(self, length):
+        # The hub relation ``b+`` is near-quadratic on this family and the
+        # ``c`` markers are O(1): the cost-based (v2) forced-edge choice
+        # must materialise the markers, however long the chain grows.  The
+        # removed lowest-index heuristic (v1) forced at least ``length``
+        # pairs here, so this absolute bound keeps the old comparison.
         db = deep_chain(length)
         query = CXRPQ(
             [("x", parse_xregex("b+"), "y"), ("y", parse_xregex("c"), "z")],
             output_variables=(),
         )
-        forced = {}
-        answers = {}
-        for name, arm in PLANNER_ARMS:
-            invalidate_cache(db)
-            reset_planner_stats()
-            with arm():
-                answers[name] = evaluate(query, db, boolean_short_circuit=True).boolean
-            forced[name] = planner_stats()["forced_pairs"]
-        assert answers["planner-v2"] == answers["planner-v1"] is True
-        assert forced["planner-v2"] <= forced["planner-v1"]
-        # And on this family the gap is asymptotic, not incidental: v1
-        # forces the near-quadratic hub relation, v2 the marker arcs.
-        assert forced["planner-v1"] >= length
-        assert forced["planner-v2"] <= 3
+        invalidate_cache(db)
+        reset_planner_stats()
+        assert evaluate(query, db, boolean_short_circuit=True).boolean is True
+        assert planner_stats()["forced_pairs"] <= 3

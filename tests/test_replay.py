@@ -236,6 +236,36 @@ class TestSpeedup:
         assert wall_s <= elapsed
 
 
+    def test_pacing_lateness_counts_in_the_latency(self):
+        """A loop that wakes late for a record charges the wait to it.
+
+        The loop is blocked for 0.3 s right after the first submission, so
+        the second record (scheduled at 0.05 s) goes out about 0.25 s late.
+        Its envelope's ``total_s`` starts at that late submission; the
+        replay latency starts at the schedule and must include the wait.
+        """
+        from repro.service import DatabaseRegistry
+
+        registry = DatabaseRegistry()
+        registry.register("g", scale_free_graph(8, seed=2))
+        service = QueryService(registry, concurrency=2, max_pending=8)
+        records = self.make_records([0.0, 0.05])
+        blocked_s = 0.3
+
+        async def run():
+            async with service:
+                asyncio.get_running_loop().call_soon(time.sleep, blocked_s)
+                return await replay(service, records)
+
+        replayed, wall_s = asyncio.run(run())
+        late = replayed[1]
+        assert late.result.ok
+        assert late.latency_s >= blocked_s - 0.05
+        assert late.latency_s > late.result.total_s
+        report = LatencyReport.from_replay(replayed, wall_s)
+        assert report.latency_max_s >= blocked_s - 0.05
+
+
 class TestCorruptTraces:
     def test_corrupt_json_line_is_attributed(self, recorded, tmp_path):
         lines = (recorded / "trace.jsonl").read_text(encoding="utf-8").splitlines()
