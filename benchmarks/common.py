@@ -1,10 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-experiment benchmarks.
 
-Every benchmark module corresponds to one experiment of EXPERIMENTS.md.  The
-helpers here keep the modules small: workload caching (so expensive inputs are
-generated once per session) and a tiny table printer so each benchmark also
-emits the rows/series the corresponding figure or theorem of the paper talks
-about (run pytest with ``-s`` to see them).
+Every benchmark module reproduces one figure, theorem or corollary of the
+paper (named in its own docstring).  The helpers here keep the modules
+small: workload caching (so expensive inputs are generated once per
+session) and a tiny table printer so each benchmark also emits the
+rows/series the corresponding figure or theorem talks about (run pytest
+with ``-s`` to see them).  Serving performance is measured by
+``servebench/``, not here.
 """
 
 from __future__ import annotations
@@ -36,20 +38,6 @@ def boolean_version(query):
         output_variables=(),
         image_bound=query.image_bound,
     )
-
-
-@lru_cache(maxsize=None)
-def cached_scenario(name: str):
-    """Realise a registered workload scenario once per session.
-
-    Realisation is deterministic (same name → byte-identical graphs and
-    request stream), so caching only saves the generation cost; arms that
-    mutate shard caches must invalidate them per run, as the service
-    benchmarks already do.
-    """
-    from repro.workloads import get_scenario, realise
-
-    return realise(get_scenario(name))
 
 
 @lru_cache(maxsize=None)

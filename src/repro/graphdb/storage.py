@@ -595,10 +595,16 @@ def _grouped_triples(flat: Sequence[str], kind: str) -> List[Triple]:
     ]
 
 
-def _read_delta_segments(view: memoryview, offset: int) -> List[EdgeDelta]:
-    """Parse every delta segment between ``offset`` and the end of the file."""
+def _read_delta_segments(
+    view: memoryview, offset: int, limit: Optional[int] = None
+) -> List[EdgeDelta]:
+    """Parse the delta segments between ``offset`` and the end of the file.
+
+    With a ``limit`` parsing stops after that many segments, so the later
+    ones (possibly still being appended) are never read.
+    """
     segments: List[EdgeDelta] = []
-    while offset < len(view):
+    while offset < len(view) and (limit is None or len(segments) < limit):
         if len(view) - offset < _DELTA_HEADER.size:
             raise GraphFormatError(
                 "truncated snapshot: a delta segment header is cut short"
@@ -687,16 +693,18 @@ def append_delta(path: PathLike, delta: EdgeDelta) -> None:
 
 
 def load_snapshot_bytes(
-    buffer, alphabet: Optional[Alphabet] = None
+    buffer, alphabet: Optional[Alphabet] = None, segments: Optional[int] = None
 ) -> SnapshotDatabase:
     """Deserialise a snapshot from a bytes-like buffer (mmap, bytes, view).
 
     The returned database's CSR arrays are ``memoryview`` casts into
     ``buffer`` — near zero-copy — and are pre-seeded into the shared
     reachability index, so the first query runs without any adjacency
-    rebuild.  Raises :class:`~repro.graphdb.io.GraphFormatError` on bad
-    magic, an unknown (newer) schema version, a checksum mismatch or a
-    truncated file.
+    rebuild.  ``segments`` applies only the first that many delta segments
+    (the graph at database version ``segments``); ``None`` applies all.
+    Raises :class:`~repro.graphdb.io.GraphFormatError` on bad magic, an
+    unknown (newer) schema version, a checksum mismatch, a truncated file,
+    or a ``segments`` count the file does not hold.
     """
     view = memoryview(buffer)
     if len(view) < _HEADER.size:
@@ -775,14 +783,21 @@ def load_snapshot_bytes(
                 "inconsistent snapshot: the statistics section disagrees with "
                 "the header node/edge counts"
             )
+    if segments is not None and segments < 0:
+        raise ValueError(f"segments must be non-negative, got {segments}")
     deltas: List[EdgeDelta] = []
-    if flags & FLAG_DELTA:
-        deltas = _read_delta_segments(view, _HEADER.size + payload_length)
+    if flags & FLAG_DELTA and segments != 0:
+        deltas = _read_delta_segments(view, _HEADER.size + payload_length, segments)
         if not deltas:
             raise GraphFormatError(
                 "inconsistent snapshot: FLAG_DELTA is set but no delta "
                 "segments follow the payload"
             )
+    if segments is not None and segments > len(deltas):
+        raise GraphFormatError(
+            f"cannot load {segments} delta segment(s): the snapshot holds "
+            f"{len(deltas)}"
+        )
     db = SnapshotDatabase(names, forward, backward, alphabet=alphabet, buffer=buffer)
     if deltas:
         # Apply the mutation log in order: each batch builds a CSR overlay
@@ -809,12 +824,15 @@ def save_snapshot(
     Path(path).write_bytes(dump_snapshot_bytes(db, statistics=statistics))
 
 
-def load_snapshot(path: PathLike, alphabet: Optional[Alphabet] = None) -> SnapshotDatabase:
+def load_snapshot(
+    path: PathLike, alphabet: Optional[Alphabet] = None, segments: Optional[int] = None
+) -> SnapshotDatabase:
     """Load an ``.rgsnap`` snapshot by mmapping it (near zero-copy).
 
     The mapping stays referenced by the returned database for as long as its
     CSR arrays are in use; empty or unmappable files fall back to a plain
-    read, where the header checks produce the format error.
+    read, where the header checks produce the format error.  ``segments``
+    is passed to :func:`load_snapshot_bytes`.
     """
     try:
         with open(path, "rb") as handle:
@@ -828,6 +846,6 @@ def load_snapshot(path: PathLike, alphabet: Optional[Alphabet] = None) -> Snapsh
     except OSError as error:
         raise GraphFormatError(f"cannot open snapshot {path}: {error}") from error
     try:
-        return load_snapshot_bytes(buffer, alphabet)
+        return load_snapshot_bytes(buffer, alphabet, segments)
     except GraphFormatError as error:
         raise GraphFormatError(f"{path}: {error}") from error

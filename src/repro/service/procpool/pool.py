@@ -8,10 +8,11 @@ envelope layer noticing.  Internally it is a translation layer:
 
 * a drain task pulls broker batches on the event loop and converts each
   live ticket into a :class:`~repro.service.procpool.messages.WorkItem` —
-  the shard travels as its *snapshot path* (each worker mmap-loads its own
-  handle; the OS page cache shares the bytes), the query as its canonical
-  fingerprint payload (round-trips through the parser), and the asyncio
-  future stays here, keyed by item id;
+  the shard travels as its *snapshot path* and, in the item id, the
+  database version the ticket was admitted against (each worker mmap-loads
+  its own handle of that generation; the OS page cache shares the bytes),
+  the query as its canonical fingerprint payload (round-trips through the
+  parser), and the asyncio future stays here, keyed by item id;
 * supervisor callbacks hop completions back onto the loop with
   ``call_soon_threadsafe``, where the ticket's future is resolved exactly
   like the in-process tier resolves it — same telemetry fields, same
@@ -28,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from typing import Dict, List, Optional, Set, Tuple, Union, cast
+from typing import Any, Dict, List, Optional, Set, Tuple, cast
 
 from repro.core.errors import ReproError
 from repro.engine.results import EvaluationResult, Node
@@ -44,6 +45,7 @@ from repro.service.procpool.supervisor import (
     ProcessPoolSupervisor,
 )
 from repro.service.registry import DatabaseEvictedError, DatabaseRegistry
+from repro.service.requests import QuerySpec
 
 
 class ProcessPoolError(ReproError):
@@ -155,24 +157,7 @@ class ProcessEvaluationPool:
         # The ticket key's fingerprint component *is* the query in wire
         # form — canonical edge expressions round-trip through the parser,
         # so the worker re-parses to exactly the query admitted here.
-        edges, output_variables, image_bound, generic_path_bound = cast(
-            Tuple[
-                Tuple[Tuple[str, str, str], ...],
-                Tuple[str, ...],
-                Optional[Union[int, str]],
-                Optional[int],
-            ],
-            ticket.key[3],
-        )
-        spec: Dict[str, object] = {"edges": [list(edge) for edge in edges]}
-        if output_variables:
-            spec["output"] = list(output_variables)
-        else:
-            spec["boolean"] = True
-        if image_bound is not None:
-            spec["image_bound"] = image_bound
-        if generic_path_bound is not None:
-            spec["generic_path_bound"] = generic_path_bound
+        spec = QuerySpec(*cast(Tuple[Any, ...], ticket.key[3])).to_payload()
         self._seq += 1
         item_id: ItemId = (
             entry.name,

@@ -7,13 +7,19 @@ snapshot paths already loaded, for shard affinity), block until the
 supervisor answers with a :class:`WorkItem` or a :class:`WorkerShutdown`,
 evaluate, send a :class:`WorkResult`, repeat.
 
-Each worker holds its own ``path → GraphDatabase`` map, loaded on first
-use via :func:`repro.graphdb.io.load_database` — for ``.rgsnap`` shards
-an mmap whose CSR pages the OS page cache shares across all workers, so
-N processes over the same shards cost one copy of the arrays.  The
-per-process :mod:`repro.graphdb.cache` machinery then warms exactly like
-the in-process tier's, which is why the claim queue's shard affinity
-pays: re-claiming a shard you already served hits a hot index.
+Each worker holds its own ``(path, version) → GraphDatabase`` map, loaded
+on first use — for ``.rgsnap`` shards an mmap whose CSR pages the OS page
+cache shares across all workers, so N processes over the same shards cost
+one copy of the arrays.  The version is the database version the item was
+admitted against (the third component of its :data:`ItemId`): a snapshot
+is loaded with exactly that many delta segments, so after a refresh a
+worker answers from the generation the envelope names, and a text shard
+whose file no longer holds that version fails the item.  At most two
+versions per path stay loaded, the live one and the one it retired, as in
+the registry.  The per-process :mod:`repro.graphdb.cache` machinery then
+warms exactly like the in-process tier's, which is why the claim queue's
+shard affinity pays: re-claiming a shard you already served hits a hot
+index.
 
 Crash-safety is the *supervisor's* job — a worker killed at any point
 (mid-evaluation, between claim and completion) simply disappears; its
@@ -28,10 +34,12 @@ import time
 from multiprocessing.connection import Connection
 from typing import Dict, Optional, Tuple
 
+from repro.core.errors import ReproError
 from repro.engine.engine import evaluate
 from repro.graphdb.cache import cache_stats, reachability_index
 from repro.graphdb.database import GraphDatabase
-from repro.graphdb.io import load_database
+from repro.graphdb.io import load_database, sniff_format
+from repro.graphdb.storage import load_snapshot
 from repro.service.procpool.messages import (
     ClaimRequest,
     WorkerShutdown,
@@ -41,16 +49,44 @@ from repro.service.procpool.messages import (
 )
 from repro.service.requests import QuerySpec
 
+#: This process's shard copies, keyed by (path, database version).
+Databases = Dict[Tuple[str, int], GraphDatabase]
 
-def _execute(
-    worker_id: int, item: WorkItem, databases: Dict[str, GraphDatabase]
-) -> WorkResult:
+
+def _database(item: WorkItem, databases: Databases) -> GraphDatabase:
+    """This process's copy of the shard generation ``item`` names."""
+    version = item.item_id[2]
+    db = databases.get((item.path, version))
+    if db is not None:
+        return db
+    fmt = item.fmt or sniff_format(item.path)
+    if fmt == "rgsnap":
+        db = load_snapshot(item.path, segments=version)
+    else:
+        db = load_database(item.path, fmt=fmt)
+        if db.version != version:
+            raise ReproError(
+                f"{item.path}: the file now holds database version "
+                f"{db.version}, not version {version} that the request was "
+                "admitted against"
+            )
+    # Keep the last version loaded beside this one: a live and a retired
+    # generation, like the registry; older ones can no longer be admitted.
+    loaded = [key for key in databases if key[0] == item.path]
+    for key in loaded[:-1]:
+        del databases[key]
+    databases[(item.path, version)] = db
+    return db
+
+
+def _loaded_paths(databases: Databases) -> Tuple[str, ...]:
+    return tuple(sorted({path for path, _version in databases}))
+
+
+def _execute(worker_id: int, item: WorkItem, databases: Databases) -> WorkResult:
     """Evaluate one claimed item against this process's shard copy."""
     try:
-        db = databases.get(item.path)
-        if db is None:
-            db = load_database(item.path, fmt=item.fmt)
-            databases[item.path] = db
+        db = _database(item, databases)
         spec = QuerySpec.from_payload(item.spec)
         query = spec.to_query()
     except Exception as error:  # deliberate: failures travel as results
@@ -84,7 +120,7 @@ def _execute(
         )
     tuples: Optional[Tuple[Tuple[object, ...], ...]] = None
     if spec.output_variables:
-        tuples = tuple(sorted(evaluation.tuples, key=repr))
+        tuples = tuple(evaluation.tuples)
     return WorkResult(
         item_id=item.item_id,
         worker_id=worker_id,
@@ -104,16 +140,14 @@ def _execute(
 
 def worker_main(worker_id: int, conn: Connection) -> None:
     """The pull loop of one worker process (the spawned process's target)."""
-    databases: Dict[str, GraphDatabase] = {}
+    databases: Databases = {}
     evaluations = 0
     errors = 0
     try:
         while True:
             try:
                 conn.send(
-                    ClaimRequest(
-                        worker_id=worker_id, loaded=tuple(sorted(databases))
-                    )
+                    ClaimRequest(worker_id=worker_id, loaded=_loaded_paths(databases))
                 )
                 message = conn.recv()
             except (EOFError, OSError):
@@ -125,7 +159,7 @@ def worker_main(worker_id: int, conn: Connection) -> None:
                             worker_id=worker_id,
                             evaluations=evaluations,
                             errors=errors,
-                            loaded=tuple(sorted(databases)),
+                            loaded=_loaded_paths(databases),
                             cache=cache_stats(),
                         )
                     )

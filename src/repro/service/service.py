@@ -313,8 +313,7 @@ def serve_batch(
     """Synchronous convenience: run a batch through a fresh service.
 
     Spins up an event loop, a :class:`QueryService` with ``options`` and
-    tears both down again — the one-call path used by ``repro batch`` and
-    the benchmarks.
+    tears both down again — a one-call path for scripts and tests.
     """
 
     async def run() -> List[ServiceResult]:

@@ -471,8 +471,8 @@ def realise(config: WorkloadConfig) -> RealizedWorkload:
 # The registry of named scenarios
 # ---------------------------------------------------------------------------
 
-#: Every named scenario, frozen.  Benchmarks and the CLI refer to these by
-#: name; ad-hoc configs can still be constructed directly.
+#: Every named scenario, frozen.  servebench and the tests refer to these
+#: by name; ad-hoc configs can still be constructed directly.
 REGISTRY: Dict[str, WorkloadConfig] = {
     config.name: config
     for config in (
@@ -533,10 +533,9 @@ REGISTRY: Dict[str, WorkloadConfig] = {
             shards=2,
             seed=15,
         ),
-        # The serving-benchmark scenarios (bench_service): many uniform
-        # shards, heavily duplicated hot-key traffic — the arrival pattern
-        # is immaterial there (the bench submits eagerly) but kept poisson
-        # so replay runs of the same scenario are realistic.
+        # The serving scenarios: many uniform shards, heavily duplicated
+        # hot-key traffic (servebench's hotkey-process workload and the
+        # dedup test in tests/test_service.py realise them).
         WorkloadConfig(
             name="service-dedup",
             graph_family="random",
@@ -556,28 +555,6 @@ REGISTRY: Dict[str, WorkloadConfig] = {
             num_requests=36,
             shards=4,
             seed=23,
-        ),
-        # The process-pool scaling scenarios: unique CPU-bound queries over
-        # snapshot-backed shards (bench_service --scaling).
-        WorkloadConfig(
-            name="service-scaling",
-            graph_family="random",
-            scale=96,
-            query_mix="long-tail-unique",
-            arrival_pattern="uniform",
-            num_requests=48,
-            shards=4,
-            seed=29,
-        ),
-        WorkloadConfig(
-            name="service-scaling-smoke",
-            graph_family="random",
-            scale=48,
-            query_mix="long-tail-unique",
-            arrival_pattern="uniform",
-            num_requests=48,
-            shards=4,
-            seed=29,
         ),
     )
 }

@@ -41,7 +41,7 @@ from repro.graphdb.paths import (
 from repro.queries.crpq import CRPQ
 from repro.workloads import random_workload
 
-from helpers import ABC, REGEX_POOL, compiled, databases
+from helpers import ABC, KERNEL_ARMS, REGEX_POOL, compiled, databases
 
 
 class TestCsrToggle:
@@ -113,6 +113,58 @@ class TestCsrSearchEquivalence:
                 assert reachable_to(db, nfa, target) == {
                     source for source, t in full if t == target
                 }
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("pattern", REGEX_POOL)
+    def test_reachable_pairs_matches_set_kernel(self, pattern):
+        nfa = compiled(pattern)
+        for db in databases():
+            fast = reachable_pairs(db, nfa)
+            with csr_kernel_disabled():
+                oracle = reachable_pairs(db, nfa)
+            assert fast == oracle
+
+    @pytest.mark.parametrize("pattern", REGEX_POOL)
+    def test_backward_search_matches_forward(self, pattern):
+        nfa = compiled(pattern)
+        for db in databases():
+            with csr_kernel_disabled():
+                full = reachable_pairs(db, nfa)
+            nodes = sorted(db.nodes, key=repr)
+            # A single target out of many sources selects the production
+            # backward kernel (|targets| * ratio <= |sources|); the reference
+            # arm answers the same restriction by a forward search.
+            for target in nodes[:4]:
+                expected_sources = {source for source, t in full if t == target}
+                for _name, arm in KERNEL_ARMS:
+                    with arm():
+                        restricted = reachable_pairs(db, nfa, targets=[target])
+                        assert restricted == {pair for pair in full if pair[1] == target}
+                        assert reachable_to(db, nfa, target) == expected_sources
+
+    def test_backward_search_respects_explicit_sources(self):
+        nfa = compiled("a+b")
+        for db in databases():
+            nodes = sorted(db.nodes, key=repr)
+            sources = nodes[: len(nodes) // 2]
+            target = nodes[-1]
+            with csr_kernel_disabled():
+                full = reachable_pairs(db, nfa)
+            expected = {(u, v) for u, v in full if u in set(sources) and v == target}
+            for _name, arm in KERNEL_ARMS:
+                with arm():
+                    restricted = reachable_pairs(db, nfa, sources=sources, targets=[target])
+                assert restricted == expected
+
+    def test_ghost_endpoints_are_ignored(self):
+        db = random_graph(8, 20, ABC, seed=3)
+        nfa = compiled("a*")
+        for _name, arm in KERNEL_ARMS:
+            with arm():
+                assert reachable_pairs(db, nfa, sources=["ghost"]) == set()
+                assert reachable_pairs(db, nfa, targets=["ghost"]) == set()
+                assert reachable_to(db, nfa, "ghost") == set()
 
 
 class TestLazyRelation:

@@ -117,6 +117,37 @@ class TestDeltaSegments:
         assert not loaded.has_edge("n4", "a", "n5")
         assert "n5" in loaded.nodes, "nodes introduced by a folded delta survive"
 
+    def test_segments_loads_a_prefix_of_the_log(self, tmp_path):
+        path = snapshot_path(tmp_path)
+        first = EdgeDelta([("n4", "a", "n5")], ())
+        append_delta(path, first)
+        append_delta(path, EdgeDelta([("n5", "b", "n6")], [("n4", "a", "n5")]))
+        base = load_snapshot(path, segments=0)
+        assert (base.version, base.applied_deltas) == (0, 0)
+        assert_same_database(base_db(), base)
+        assert cache_stats(base)["csr"]["preloaded"] == 1
+        one = load_snapshot(path, segments=1)
+        assert (one.version, one.applied_deltas) == (1, 1)
+        assert_same_database(
+            rebuilt_with_delta(base_db(), first.additions, first.removals), one
+        )
+        assert_same_database(load_snapshot(path), load_snapshot(path, segments=2))
+        with pytest.raises(GraphFormatError, match="holds 2"):
+            load_snapshot(path, segments=3)
+        with pytest.raises(GraphFormatError, match="holds 0"):
+            load_snapshot_bytes(dump_snapshot_bytes(base_db()), segments=1)
+
+    def test_segments_past_the_limit_are_never_read(self, tmp_path):
+        # A segment still being appended (cut short here) must not stop a
+        # reader of an earlier version.
+        path = snapshot_path(tmp_path)
+        append_delta(path, EdgeDelta([("n4", "a", "n5")], ()))
+        append_delta(path, EdgeDelta([("n5", "b", "n6")], ()))
+        blob = path.read_bytes()[:-4]
+        with pytest.raises(GraphFormatError, match="truncated"):
+            load_snapshot_bytes(blob)
+        assert load_snapshot_bytes(blob, segments=1).has_edge("n4", "a", "n5")
+
     def test_flag_delta_is_set_only_after_append(self, tmp_path):
         path = snapshot_path(tmp_path)
         flags_before = struct.unpack_from("<H", path.read_bytes(), 10)[0]

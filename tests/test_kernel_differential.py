@@ -247,18 +247,25 @@ class TestDeltaDifferential:
         assert cases >= 16
 
     def test_overlay_refresh_stays_on_the_preloaded_csr(self, tmp_path):
-        """The delta arm must not pay hydration or a CSR rebuild."""
+        """The delta arm must not pay hydration or a CSR rebuild, whether
+        the delta is loaded from the file or applied to a serving shard."""
         from repro.graphdb.delta import EdgeDelta
 
         db = stringified(random_graph(12, 30, ABC, seed=9))
         triple = tuple(next(iter(db.edges)))
         delta = EdgeDelta([("n0", "a", "delta_node")], [triple])
         overlay = snapshot_with_deltas(db, [delta], tmp_path)
-        reachable_pairs(overlay, compiled("(a|b)+"))
-        stats = cache_stats(overlay)["csr"]
-        assert stats["preloaded"] == 1, "each applied delta preloads its overlay"
-        assert stats["misses"] == 0, "the delta arm rebuilt the CSR arrays"
-        assert not overlay.hydrated
+        serving = snapshot_round_trip(db)
+        serving.apply_delta(delta.additions, delta.removals)
+        for loaded, preloaded in ((overlay, 1), (serving, 2)):
+            reachable_pairs(loaded, compiled("(a|b)+"))
+            stats = cache_stats(loaded)["csr"]
+            assert stats["preloaded"] == preloaded, "each CSR is preloaded"
+            assert stats["misses"] == 0, "the delta arm rebuilt the CSR arrays"
+            assert not loaded.hydrated
+        assert reachable_pairs(serving, compiled("(a|b)+")) == reachable_pairs(
+            rebuilt_with_delta(db, delta.additions, delta.removals), compiled("(a|b)+")
+        )
 
 
 class TestPlannerDifferential:

@@ -1,14 +1,19 @@
 """Tests for the multi-process evaluation tier (``repro.service.procpool``).
 
-Four layers:
+Five layers:
 
 * the **claim queue** in isolation: atomic claim, shard affinity, lease
   expiry, dead-worker requeue, idempotent completion, abort drain;
 * the **message vocabulary**: every declared type pickles (the boundary
   contract RA107 checks statically, verified dynamically here);
 * the **tier end-to-end**: process-pool answers are identical to the
-  in-process tier's, per-worker cache reports surface in ``stats()``,
-  memory-backed shards are refused, ``repro batch --workers N`` works;
+  in-process tier's with 1, 2 and 4 workers, a refreshed snapshot shard is
+  answered from the generation its envelope names, per-worker cache
+  reports surface in ``stats()``, memory-backed shards are refused,
+  ``repro batch --workers N`` works;
+* the **worker's shard map**: one loaded copy per (path, version), at most
+  two versions per path, and an item naming a version its file no longer
+  holds fails instead of answering from another graph;
 * **fault injection**: SIGKILL a worker while its items are deterministically
   claimed-but-uncompleted (``_debug_item_sleep_s``) — every admitted request
   still completes exactly once; with the restart budget exhausted the pool
@@ -22,12 +27,16 @@ import json
 import os
 import pickle
 import signal
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.engine.engine import evaluate
 from repro.graphdb.database import GraphDatabase
-from repro.graphdb.storage import save_snapshot
+from repro.graphdb.delta import EdgeDelta, load_delta_file
+from repro.graphdb.io import load_database, save_edge_list
+from repro.graphdb.storage import append_delta, load_snapshot, save_snapshot
 from repro.service import (
     DatabaseRegistry,
     ProcessPoolBrokenError,
@@ -45,6 +54,9 @@ from repro.service.procpool.messages import (
     WorkerShutdown,
     WorkerStats,
 )
+from repro.service.procpool.worker import _execute
+
+SERVICE_EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "service"
 
 
 def small_db() -> GraphDatabase:
@@ -264,21 +276,52 @@ class TestProcessTier:
             async with QueryService(registry, concurrency=2) as service:
                 return await service.run_batch(requests)
 
-        async def process_tier():
+        async def process_tier(workers):
             async with QueryService(
-                registry, concurrency=2, pool="process"
+                registry, concurrency=workers, pool="process"
             ) as service:
                 results = await service.run_batch(requests)
                 return results, service.stats()
 
         expected = [_payload(result) for result in run(thread_tier())]
-        results, stats = run(process_tier())
-        assert [_payload(result) for result in results] == expected
-        assert stats["pool"] == "process"
-        workers = stats["workers"]
-        assert workers["evaluations"] == len(requests)
-        assert workers["completed"] == len(requests)
-        assert workers["deaths"] == 0 and not workers["broken"]
+        for concurrency in (1, 2, 4):
+            results, stats = run(process_tier(concurrency))
+            assert [_payload(result) for result in results] == expected, concurrency
+            assert stats["pool"] == "process"
+            workers = stats["workers"]
+            assert workers["concurrency"] == concurrency
+            assert workers["evaluations"] == len(requests)
+            assert workers["completed"] == len(requests)
+            assert workers["deaths"] == 0 and not workers["broken"]
+
+    def test_refreshed_snapshot_is_answered_from_the_new_generation(self, tmp_path):
+        # One worker serves both requests, so it has the shard loaded when
+        # the refresh lands: it must load version 1, not keep version 0.
+        path = tmp_path / "smoke.rgsnap"
+        save_snapshot(load_database(SERVICE_EXAMPLES / "smoke.edges"), path)
+        spec = QuerySpec(edges=(("x", "(a|b)*c", "y"),), output_variables=("x", "y"))
+
+        async def scenario():
+            registry = DatabaseRegistry()
+            registry.load("smoke", str(path))
+            async with QueryService(
+                registry, concurrency=1, pool="process"
+            ) as service:
+                before = await service.submit(QueryRequest("smoke", spec))
+                append_delta(path, load_delta_file(SERVICE_EXAMPLES / "smoke.delta"))
+                await service.refresh("smoke")
+                after = await service.submit(QueryRequest("smoke", spec))
+            return before, after
+
+        before, after = run(scenario())
+        assert before.ok and after.ok, (before.error, after.error)
+        assert (len(before.tuples), len(after.tuples)) == (4, 5)
+        for result, version in ((before, 0), (after, 1)):
+            assert result.database_version == version
+            direct = evaluate(spec.to_query(), load_snapshot(path, segments=version))
+            assert [tuple(row) for row in result.tuples] == sorted(
+                direct.tuples, key=repr
+            ), f"version {version}"
 
     def test_worker_cache_reports_surface_and_render(self, tmp_path):
         registry = self.registry(tmp_path)
@@ -338,6 +381,45 @@ class TestProcessTier:
     def test_pool_argument_is_validated(self):
         with pytest.raises(ValueError):
             QueryService(DatabaseRegistry(), pool="fibers")
+
+
+class TestWorkerShardMap:
+    """``_execute`` in-process: which graph a worker answers an item from."""
+
+    def item(self, path, version: int) -> WorkItem:
+        return WorkItem(
+            item_id=("g", 1, version, "fp", version),
+            shard="g",
+            path=str(path),
+            fmt=None,
+            spec={"edges": [["x", "a", "y"]], "output": ["x", "y"]},
+        )
+
+    def test_each_version_loads_its_own_segments_and_two_stay_loaded(self, tmp_path):
+        path = tmp_path / "g.rgsnap"
+        save_snapshot(small_db(), path)
+        append_delta(path, EdgeDelta([("n4", "a", "n5")], ()))
+        append_delta(path, EdgeDelta([("n5", "a", "n6")], ()))
+        databases = {}
+        for version, answers in ((0, 2), (1, 3), (2, 4), (1, 3)):
+            result = _execute(0, self.item(path, version), databases)
+            assert result.ok, result.error
+            assert len(result.tuples) == answers, f"version {version}"
+        assert sorted(databases) == [(str(path), 1), (str(path), 2)]
+
+    def test_a_version_the_file_does_not_hold_fails_the_item(self, tmp_path):
+        snapshot = tmp_path / "g.rgsnap"
+        save_snapshot(small_db(), snapshot)
+        result = _execute(0, self.item(snapshot, 1), {})
+        assert not result.ok
+        assert str(snapshot) in result.error and "holds 0" in result.error
+        text = tmp_path / "g.edges"
+        save_edge_list(small_db(), text)
+        version = load_database(text).version
+        assert _execute(0, self.item(text, version), {}).ok
+        result = _execute(0, self.item(text, version + 1), {})
+        assert not result.ok
+        assert str(text) in result.error and f"version {version + 1}" in result.error
 
 
 class TestCliWorkers:

@@ -4,14 +4,17 @@ The registry's contract is threefold: the same frozen config always
 realises to the byte-identical graphs and request stream (seed
 determinism), configs survive a JSON round trip unchanged, and unknown
 family/mix/pattern names fail loudly at construction time — a typo cannot
-silently benchmark the wrong scenario.
+silently benchmark the wrong scenario.  Every registered scenario also
+replays through a live service without a failed request.
 """
 
+import asyncio
 import dataclasses
 import json
 
 import pytest
 
+from repro.service import LatencyReport, QueryService, TraceRecord, replay
 from repro.workloads import (
     ARRIVAL_PATTERNS,
     GRAPH_FAMILIES,
@@ -225,3 +228,27 @@ class TestRegistryContents:
     def test_scaled_rejects_unknown_fields(self):
         with pytest.raises(WorkloadConfigError):
             scaled(get_scenario("service-dedup-smoke"), nodes=4)
+
+
+class TestScenarioReplay:
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_scenario_replays_without_failures(self, name):
+        config = get_scenario(name)
+        workload = realise(scaled(config, num_requests=min(16, config.num_requests)))
+        records = [
+            TraceRecord(offset_s=timed.offset_s, request=timed.request)
+            for timed in workload.requests
+        ]
+
+        async def run():
+            async with QueryService(
+                workload.build_registry(), concurrency=2, max_pending=len(records)
+            ) as service:
+                return await replay(service, records, speedup=1000)
+
+        replayed, wall_s = asyncio.run(run())
+        report = LatencyReport.from_replay(replayed, wall_s)
+        assert report.requests == len(records)
+        assert report.failed == 0, [
+            item.result.error for item in replayed if not item.result.ok
+        ]

@@ -29,6 +29,7 @@ from repro.service import (
     serve_batch,
 )
 from repro.graphdb.cache import cache_stats, invalidate_cache
+from repro.workloads import get_scenario, realise
 
 
 def small_db() -> GraphDatabase:
@@ -373,6 +374,52 @@ class TestService:
         direct = evaluate(spec.to_query(), db)
         assert results[0].boolean == direct.boolean
         assert [tuple(row) for row in results[0].tuples] == sorted(direct.tuples, key=repr)
+
+    def test_hot_key_stream_matches_direct_evaluation_with_and_without_dedup(self):
+        # 36 Zipf-drawn requests over 4 shards, all admitted at once: the
+        # duplicates collapse onto in-flight tickets, and every envelope
+        # still carries exactly the answer of a direct evaluate().
+        workload = realise(get_scenario("service-dedup-smoke"))
+        requests = [timed.request for timed in workload.requests]
+        shards = dict(workload.databases)
+        expected = []
+        for request in requests:
+            query = request.spec.to_query()
+            direct = evaluate(
+                query,
+                shards[request.database],
+                generic_path_bound=request.spec.generic_path_bound,
+                boolean_short_circuit=query.is_boolean,
+            )
+            tuples = sorted(direct.tuples, key=repr) if query.output_variables else None
+            expected.append((direct.boolean, tuples))
+
+        async def scenario(dedup):
+            async with QueryService(
+                workload.build_registry(),
+                concurrency=3,
+                max_pending=len(requests),
+                dedup=dedup,
+            ) as service:
+                return await service.run_batch(requests), service.stats()
+
+        for dedup in (True, False):
+            results, stats = run(scenario(dedup))
+            assert all(result.ok for result in results)
+            answers = [
+                (
+                    result.boolean,
+                    None if result.tuples is None else [tuple(row) for row in result.tuples],
+                )
+                for result in results
+            ]
+            assert answers == expected, f"dedup={dedup}"
+            evaluations = stats["workers"]["evaluations"]
+            deduplicated = stats["broker"]["deduplicated"]
+            if dedup:
+                assert deduplicated > 0 and evaluations < len(requests)
+            else:
+                assert (deduplicated, evaluations) == (0, len(requests))
 
     def test_eviction_invalidates_queued_batches_safely(self):
         async def scenario():
